@@ -1,7 +1,8 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark regenerates one artefact of the paper (see DESIGN.md §3) by
-running the corresponding experiment driver exactly once under
+Each benchmark regenerates one artefact of the paper (PAPER.md maps the
+theorems to experiments and lists what the repository adds) by running
+the corresponding experiment driver exactly once under
 pytest-benchmark (the drivers are deterministic, so repeated rounds would
 only re-measure the same numbers) and printing the resulting
 paper-vs-measured table.  Run them with::

@@ -57,11 +57,23 @@ class Specification(ABC):
         columns aligned to the vertex tuple ``order``.
 
         Must agree entry-for-entry with :meth:`is_safe` on the decoded
-        configurations — the exact checker's batched expansion
-        (:mod:`repro.verify.batched`) calls it once per frontier instead of
-        once per configuration.  The base implementation returns ``None``,
-        meaning "unsupported": the checker then decodes and evaluates per
-        configuration (correct, just slower).
+        configurations.  Two callers rely on it:
+
+        * the exact checker's batched expansion
+          (:mod:`repro.verify.batched`) calls it once per frontier instead
+          of once per configuration;
+        * the synchronous superstep engine
+          (:meth:`repro.core.VectorEngine.run_supersteps`) calls it with
+          ``m = 1`` at every step of a run monitored by a bare
+          :class:`~repro.core.SafetyMonitor`, on its own state array, so the
+          run is never replayed for the monitor.  ``order`` is then the
+          same tuple for the whole run: implementations may cache derived
+          index arrays keyed on its identity.
+
+        The base implementation returns ``None``, meaning "unsupported":
+        the checker then decodes and evaluates per configuration, and the
+        superstep engine replays each block through :meth:`is_safe`
+        (correct either way, just slower).
         """
         del rows, order, protocol
         return None

@@ -27,7 +27,7 @@ pinned by ``tests/test_exact_consistency.py`` and the E8 driver.  See
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import SimulationError
 from .daemons import Daemon
@@ -72,6 +72,13 @@ class SafetyMonitor:
     In light-trace mode :meth:`observe` receives a live read-only view; the
     monitor only derives booleans from it and never retains it, which is
     exactly the contract such views require.
+
+    The synchronous superstep engine recognizes a bare ``monitor.observe``
+    (no wrapped predicate) whose specifications all implement
+    :meth:`~repro.core.Specification.safe_rows`: it evaluates safety on its
+    own state array and records the verdicts through
+    :meth:`observe_verdicts`, so the run never replays a block for the
+    monitor.  The recorded indices are the same either way.
     """
 
     __slots__ = (
@@ -117,21 +124,34 @@ class SafetyMonitor:
         run) unless a wrapped ``stop_when`` was supplied, in which case its
         verdict — evaluated after the observation — is returned.
         """
+        protocol = self._protocol
+        self.observe_verdicts(
+            [check(configuration, protocol) for check in self._checks], index
+        )
+        if self._stop_when is not None:
+            return self._stop_when(configuration, index)
+        return False
+
+    def observe_verdicts(self, verdicts: Sequence[bool], index: int) -> None:
+        """Record precomputed safety verdicts of configuration ``index``.
+
+        ``verdicts[i]`` is whether the configuration satisfies the safety
+        predicate of the ``i``-th monitored specification.  Same gapless
+        index contract as :meth:`observe`, whose bookkeeping this is; the
+        superstep engine calls it with verdicts from
+        :meth:`~repro.core.Specification.safe_rows`.
+        """
         if index != self._last_index + 1:
             raise SimulationError(
                 f"monitor observed index {index} after {self._last_index}; "
                 "observations must be gapless (one run per monitor, or reset())"
             )
         self._last_index = index
-        protocol = self._protocol
-        for position, check in enumerate(self._checks):
-            if not check(configuration, protocol):
+        for position, safe in enumerate(verdicts):
+            if not safe:
                 self._last_unsafe[position] = index
                 if self._first_unsafe[position] is None:
                     self._first_unsafe[position] = index
-        if self._stop_when is not None:
-            return self._stop_when(configuration, index)
-        return False
 
     # ------------------------------------------------------------------ #
     # Results
@@ -141,6 +161,21 @@ class SafetyMonitor:
             if spec is specification:
                 return position
         raise SimulationError("specification was not monitored")
+
+    @property
+    def specifications(self) -> Tuple[Specification, ...]:
+        """The monitored specifications, in verdict order."""
+        return self._specs
+
+    @property
+    def protocol(self) -> Protocol:
+        """The protocol the safety predicates are evaluated against."""
+        return self._protocol
+
+    @property
+    def stop_when(self) -> Optional[Callable[[Configuration, int], bool]]:
+        """The wrapped ``stop_when`` predicate (None: never stops a run)."""
+        return self._stop_when
 
     @property
     def observed_steps(self) -> int:
@@ -314,7 +349,10 @@ def measure_stabilization(
 
     Safety is monitored **online** (:class:`SafetyMonitor` riding the
     simulator's ``stop_when`` hook): the stabilization index is known the
-    moment the run ends and the trace is never re-walked for it.
+    moment the run ends and the trace is never re-walked for it.  Under
+    the synchronous daemon the superstep engine evaluates the monitor on
+    its own state array when the specification implements
+    :meth:`~repro.core.Specification.safe_rows`, so no step is fired twice.
 
     Parameters
     ----------

@@ -699,7 +699,7 @@ class _SuperstepReplayer:
         rids = rule_ids[pos]
         old_rows = self._states[pos]
         new_rows = self._kernel.fire(self._states, pos, rids, self._index)
-        changed_rows = np.any(new_rows != old_rows, axis=1)
+        changed_rows = (new_rows != old_rows).any(axis=1)
         if bool(changed_rows.any()):
             self._states[pos] = new_rows
             self._rule_ids = self._refresh(
@@ -820,15 +820,13 @@ class _SuperstepDeltaLog(DeltaLog):
         return len(self._log)
 
     def __getitem__(self, index):
-        import numpy as np
-
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         log = self._log
         selected, _rule_ids, old_rows, new_rows = log._replayer.step_data(
             log._position_index(index)
         )
-        changed_rows = np.any(new_rows != old_rows, axis=1)
+        changed_rows = (new_rows != old_rows).any(axis=1)
         if not bool(changed_rows.any()):
             return {}
         if bool(changed_rows.all()):
@@ -842,6 +840,37 @@ class _SuperstepDeltaLog(DeltaLog):
                 log._codec.decode(changed_new),
             )
         )
+
+
+def _row_safety_monitor(stop_when):
+    """The :class:`~repro.core.SafetyMonitor` whose bare ``observe`` is
+    ``stop_when``, or None for every other predicate (including a monitor
+    wrapping a ``stop_when`` of its own, which may stop the run)."""
+    from .stabilization import SafetyMonitor
+
+    monitor = getattr(stop_when, "__self__", None)
+    if (
+        isinstance(monitor, SafetyMonitor)
+        and stop_when.__func__ is SafetyMonitor.observe
+        and monitor.stop_when is None
+    ):
+        return monitor
+    return None
+
+
+def _row_verdicts(monitor, states, order) -> Optional[List[bool]]:
+    """Safety of the ``(n, width)`` state array under each of ``monitor``'s
+    specifications, through :meth:`~repro.core.Specification.safe_rows`;
+    None when some specification does not implement it."""
+    rows = states[None]
+    protocol = monitor.protocol
+    verdicts = []
+    for specification in monitor.specifications:
+        flags = specification.safe_rows(rows, order, protocol)
+        if flags is None:
+            return None
+        verdicts.append(bool(flags[0]))
+    return verdicts
 
 
 class VectorEngine:
@@ -1007,7 +1036,7 @@ class VectorEngine:
             rids = rule_ids[selected]
             old_rows = states[selected]  # fancy indexing copies: the atomic snapshot
             new_rows = kernel.fire(states, selected, rids, index)
-            changed_rows = np.any(new_rows != old_rows, axis=1)
+            changed_rows = (new_rows != old_rows).any(axis=1)
             any_change = bool(changed_rows.any())
             if any_change:
                 states[selected] = new_rows
@@ -1120,12 +1149,20 @@ class VectorEngine:
           reconstructed on demand by replaying the (deterministic) kernel
           from the nearest checkpoint (:class:`_SuperstepReplayer`), so
           memory stays O(n · steps / superstep) instead of O(n · steps).
-        * **stop_when** is evaluated in batch at block boundaries: a second
-          cursor replays the block's configurations strictly in order,
-          handing each to the predicate with its exact step index — so
-          stateful in-order observers (``SafetyMonitor``) work unchanged —
-          and a trigger at step ``t`` rolls the recorded run back to exactly
-          the prefix the single-step engine would have kept.
+        * **Safety monitoring** stays in-kernel when ``stop_when`` is a
+          :class:`~repro.core.SafetyMonitor`'s bare ``observe`` (no wrapped
+          predicate) and every monitored specification implements
+          :meth:`~repro.core.Specification.safe_rows`: the specifications
+          judge the loop's own state array at index 0 and after every step,
+          and the verdicts go to :meth:`SafetyMonitor.observe_verdicts`.
+          Such a monitor never stops a run, so nothing is replayed and
+          nothing is rolled back.
+        * **Any other stop_when** is evaluated in batch at block boundaries:
+          a second cursor replays the block's configurations strictly in
+          order, handing each to the predicate with its exact step index —
+          so stateful in-order observers work unchanged — and a trigger at
+          step ``t`` rolls the recorded run back to exactly the prefix the
+          single-step engine would have kept.
         * **Terminal detection** stays in-kernel: an empty enabled mask ends
           the block early (``truncated=False``), and a fixed point (enabled
           vertices whose firing changes nothing) fast-forwards the remaining
@@ -1164,12 +1201,19 @@ class VectorEngine:
         replayer = _SuperstepReplayer(
             codec, kernel, index, checkpoints, self._refresh_rule_ids
         )
-        # The boundary stop_when scan keeps its own strictly sequential
-        # cursor so the main loop's state array (which runs ahead of the
-        # scanned index) is never observed by the predicate.
+        monitor = _row_safety_monitor(stop_when)
+        if monitor is not None:
+            verdicts = _row_verdicts(monitor, states, vertices)
+            if verdicts is None:
+                monitor = None
+            else:
+                monitor.observe_verdicts(verdicts, 0)
+        # Every other predicate is scanned at block boundaries on its own
+        # strictly sequential cursor, so the main loop's state array (which
+        # runs ahead of the scanned index) is never observed by it.
         scanner = (
             _SuperstepReplayer(codec, kernel, index, checkpoints, self._refresh_rule_ids)
-            if stop_when is not None
+            if stop_when is not None and monitor is None
             else None
         )
         scanned_to = -1
@@ -1214,7 +1258,7 @@ class VectorEngine:
             # hand every configuration to the predicate with its exact step
             # index.  Scanning *after* recording the boundary's enabled set
             # keeps rollback prefixes complete.
-            if stop_when is not None and steps % superstep == 0:
+            if scanner is not None and steps % superstep == 0:
                 stop_at = scan_until(steps)
                 if stop_at is not None:
                     break
@@ -1227,7 +1271,7 @@ class VectorEngine:
             rids = rule_ids[enabled_pos]
             old_rows = states[enabled_pos]  # fancy indexing copies: atomic snapshot
             new_rows = kernel.fire(states, enabled_pos, rids, index)
-            changed_rows = np.any(new_rows != old_rows, axis=1)
+            changed_rows = (new_rows != old_rows).any(axis=1)
             any_change = bool(changed_rows.any())
             if any_change:
                 states[enabled_pos] = new_rows
@@ -1236,6 +1280,11 @@ class VectorEngine:
                 )
             step_counts.append(int(enabled_pos.size))
             steps += 1
+            if monitor is not None:
+                # An unchanged configuration keeps its verdicts.
+                if any_change:
+                    verdicts = _row_verdicts(monitor, states, vertices)
+                monitor.observe_verdicts(verdicts, steps)
             if not any_change and stop_when is None:
                 # Fixed point: enabled vertices whose firing changes nothing.
                 # Every remaining step is this exact step — record it
@@ -1250,7 +1299,7 @@ class VectorEngine:
                 break
             if steps % superstep == 0:
                 checkpoints[steps] = states.copy()
-        if stop_when is not None and stop_at is None:
+        if scanner is not None and stop_at is None:
             # Scan the tail block (terminal, budget-exhausted, or partial).
             stop_at = scan_until(steps)
         if stop_at is not None:
@@ -1289,7 +1338,7 @@ class VectorEngine:
         current = initial
         for step_index in range(steps):
             _selected, _rids, old_rows, new_rows = replayer.step_data(step_index)
-            if bool(np.any(new_rows != old_rows)):
+            if bool((new_rows != old_rows).any()):
                 current = replayer.configuration_at(step_index + 1)
             configurations.append(current)
         return Execution(

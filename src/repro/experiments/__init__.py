@@ -1,4 +1,4 @@
-"""Experiment harness: one driver per paper artefact (see DESIGN.md §3)."""
+"""Experiment harness: one driver per paper artefact (see PAPER.md)."""
 
 from .runner import ExperimentReport
 from .workloads import mutex_workload, perturbed_configurations, random_configurations

@@ -1,6 +1,6 @@
 """E7 (ablation) — why SSME spaces privileged values ``2·diam(g)`` apart.
 
-This is not a table of the paper; it ablates the design choice DESIGN.md
+This is not a table of the paper; it ablates the design choice PAPER.md
 singles out.  Algorithm 1 grants the privilege on the clock values
 ``2n + 2·diam(g)·id_v``.  Safety inside the legitimate set Γ₁ (Theorem 1)
 needs any two privileged values to sit further apart on the clock circle

@@ -200,9 +200,9 @@ def render_experiments_markdown(reports: Sequence[ExperimentReport]) -> str:
         "Reproduction of *Introducing Speculation in Self-Stabilization: An "
         "Application to Mutual Exclusion* (Dubois & Guerraoui, PODC 2013).",
         "",
-        "Each section reproduces one artefact of the paper (see DESIGN.md §3 "
-        "for the experiment index).  Regenerate any section with the matching "
-        "benchmark under `benchmarks/`, e.g. "
+        "Each section reproduces one artefact of the paper (see PAPER.md "
+        "for which theorem each experiment reproduces).  Regenerate any "
+        "section with the matching benchmark under `benchmarks/`, e.g. "
         "`pytest benchmarks/bench_theorem2_sync_upper.py --benchmark-only -s`.",
         "",
     ]

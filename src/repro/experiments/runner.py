@@ -1,6 +1,6 @@
 """Experiment report containers and small shared helpers.
 
-Every experiment driver (one per paper artefact, see DESIGN.md §3) returns
+Every experiment driver (one per paper artefact, see PAPER.md) returns
 an :class:`ExperimentReport`: the rows it measured, the paper's stated
 claim, and a verdict.  Benchmarks print the report; EXPERIMENTS.md records
 the paper-vs-measured comparison produced from the same objects.
@@ -22,7 +22,7 @@ class ExperimentReport:
     Attributes
     ----------
     experiment_id:
-        Short identifier ("E1" ... "E6") matching DESIGN.md.
+        Short identifier ("E1" ... "E10"), as cited in PAPER.md.
     title:
         Human-readable title.
     paper_claim:

@@ -80,8 +80,8 @@ class DijkstraTokenRing(Protocol, PrivilegeAware):
         self._ring_order = self._compute_ring_order()
         self._predecessor = self._compute_predecessors()
         self._rules = [Rule(self.RULE_MOVE, self._guard, self._action)]
-        # (vertex_order, pred positions, bottom row) cache for
-        # privileged_count_array.
+        # (vertex_order, pred positions, bottom row) cache for the array
+        # privilege tests.
         self._array_privilege = None
 
     @classmethod
@@ -213,7 +213,30 @@ class DijkstraTokenRing(Protocol, PrivilegeAware):
         """
         import numpy as np
 
-        order = view.vertex_order
+        pred, bottom = self._privilege_positions(view.vertex_order)
+        s = view.raw_states()[:, 0]
+        differs = s != s[pred]
+        count = int(np.count_nonzero(differs))
+        return count - 1 if differs[bottom] else count + 1
+
+    def privileged_rows(self, rows, order):
+        """Batch privilege matrix for the exact checker and the superstep
+        engine's safety monitoring: non-bottom machines are privileged iff
+        their counter differs from their predecessor's, the bottom machine
+        iff it matches."""
+        pred, bottom = self._privilege_positions(order)
+        values = rows[:, :, 0]
+        differs = values != values[:, pred]
+        differs[:, bottom] = ~differs[:, bottom]
+        return differs
+
+    def _privilege_positions(self, order):
+        """``(pred, bottom)`` for columns in ``order``: every vertex's
+        predecessor position as an int64 vector, and the bottom machine's
+        position.  Cached on the identity of ``order`` (engines pass one
+        tuple for a whole run)."""
+        import numpy as np
+
         cached = self._array_privilege
         if cached is None or cached[0] is not order:
             position = {v: i for i, v in enumerate(order)}
@@ -223,28 +246,7 @@ class DijkstraTokenRing(Protocol, PrivilegeAware):
                 count=len(order),
             )
             self._array_privilege = cached = (order, pred, position[self._bottom])
-        s = view.raw_states()[:, 0]
-        differs = s != s[cached[1]]
-        count = int(np.count_nonzero(differs))
-        return count - 1 if differs[cached[2]] else count + 1
-
-    def privileged_rows(self, rows, order):
-        """Batch privilege matrix for the exact checker: non-bottom machines
-        are privileged iff their counter differs from their predecessor's,
-        the bottom machine iff it matches."""
-        import numpy as np
-
-        position = {v: i for i, v in enumerate(order)}
-        pred = np.fromiter(
-            (position[self._predecessor[v]] for v in order),
-            dtype=np.int64,
-            count=len(order),
-        )
-        values = rows[:, :, 0]
-        differs = values != values[:, pred]
-        bottom = position[self._bottom]
-        differs[:, bottom] = ~differs[:, bottom]
-        return differs
+        return cached[1], cached[2]
 
     def legitimate_configuration(self, value: int = 0) -> Configuration:
         """The canonical legitimate configuration: every counter equal."""

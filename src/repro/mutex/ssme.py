@@ -115,7 +115,7 @@ class SSME(AsynchronousUnison, PrivilegeAware):
             vertex: ssme_privileged_value(n, computed_diam, identity)
             for vertex, identity in self._identities.items()
         }
-        # (vertex_order, pv row vector) cache for privileged_count_array.
+        # (vertex_order, pv row vector) cache for the array privilege tests.
         self._pv_rows = None
 
     @staticmethod
@@ -191,7 +191,20 @@ class SSME(AsynchronousUnison, PrivilegeAware):
         """
         import numpy as np
 
-        order = view.vertex_order
+        pv = self._privileged_value_row(view.vertex_order)
+        return int(np.count_nonzero(view.raw_states()[:, 0] == pv))
+
+    def privileged_rows(self, rows, order):
+        """Batch privilege matrix for the exact checker and the superstep
+        engine's safety monitoring: a vertex is privileged exactly when its
+        register holds its privileged value."""
+        return rows[:, :, 0] == self._privileged_value_row(order)
+
+    def _privileged_value_row(self, order):
+        """The privileged values in ``order`` as an int64 vector, cached on
+        the identity of ``order`` (engines pass one tuple for a whole run)."""
+        import numpy as np
+
         cached = self._pv_rows
         if cached is None or cached[0] is not order:
             pv = np.fromiter(
@@ -200,16 +213,4 @@ class SSME(AsynchronousUnison, PrivilegeAware):
                 count=len(order),
             )
             self._pv_rows = cached = (order, pv)
-        return int(np.count_nonzero(view.raw_states()[:, 0] == cached[1]))
-
-    def privileged_rows(self, rows, order):
-        """Batch privilege matrix for the exact checker: a vertex is
-        privileged exactly when its register holds its privileged value."""
-        import numpy as np
-
-        pv = np.fromiter(
-            (self._privileged_values[v] for v in order),
-            dtype=np.int64,
-            count=len(order),
-        )
-        return rows[:, :, 0] == pv
+        return cached[1]

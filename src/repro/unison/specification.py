@@ -34,6 +34,9 @@ class AsynchronousUnisonSpec(Specification):
                 "AsynchronousUnisonSpec requires an AsynchronousUnison protocol"
             )
         self._protocol = protocol
+        # (vertex_order, edge src positions, edge dst positions) cache for
+        # safe_rows.
+        self._edge_rows = None
 
     # ------------------------------------------------------------------ #
     # Safety: membership in Γ₁
@@ -43,27 +46,39 @@ class AsynchronousUnisonSpec(Specification):
         return self._protocol.is_legitimate(configuration)
 
     def safe_rows(self, rows, order, protocol: Protocol):
-        """Batch Γ₁ membership for the exact checker: every register correct
-        (``>= 0``; the cherry domain is bounded above by ``K``) and every
-        edge's cyclic drift at most 1."""
+        """Batch Γ₁ membership for the exact checker and the superstep
+        engine's safety monitoring: every register correct (``>= 0``; the
+        cherry domain is bounded above by ``K``) and every edge's cyclic
+        drift at most 1."""
         del protocol
         import numpy as np
 
-        bound = self._protocol
-        position = {v: i for i, v in enumerate(order)}
-        sources = []
-        targets = []
-        for u, v in bound.graph.edges:
-            sources.append(position[u])
-            targets.append(position[v])
-        src = np.asarray(sources, dtype=np.int64)
-        dst = np.asarray(targets, dtype=np.int64)
+        src, dst = self._edge_positions(order)
         values = rows[:, :, 0]
         correct = (values >= 0).all(axis=1)
-        K = bound.clock.K
+        K = self._protocol.clock.K
         diff = (values[:, src] - values[:, dst]) % K
         drift_ok = (np.minimum(diff, K - diff) <= 1).all(axis=1)
         return correct & drift_ok
+
+    def _edge_positions(self, order):
+        """``(src, dst)`` column positions of every edge's endpoints in
+        ``order``, cached on the identity of ``order`` (engines pass one
+        tuple for a whole run)."""
+        import numpy as np
+
+        cached = self._edge_rows
+        if cached is None or cached[0] is not order:
+            position = {v: i for i, v in enumerate(order)}
+            edges = self._protocol.graph.edges
+            src = np.fromiter(
+                (position[u] for u, _v in edges), dtype=np.int64, count=len(edges)
+            )
+            dst = np.fromiter(
+                (position[v] for _u, v in edges), dtype=np.int64, count=len(edges)
+            )
+            self._edge_rows = cached = (order, src, dst)
+        return cached[1], cached[2]
 
     # ------------------------------------------------------------------ #
     # Liveness: every clock incremented in the window
