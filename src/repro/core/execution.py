@@ -18,7 +18,13 @@ from ..types import VertexId, VertexStateLike
 from .protocol import ActivationRecord
 from .state import Configuration
 
-__all__ = ["DeltaLog", "Execution", "LazyActivations", "LazyConfigurationTrace"]
+__all__ = [
+    "DeltaLog",
+    "Execution",
+    "LazyActivations",
+    "LazyConfigurationTrace",
+    "LazyEnabledSets",
+]
 
 
 class DeltaLog(Sequence):
@@ -104,6 +110,70 @@ class LazyActivations(Sequence):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"LazyActivations(actions={len(self._raw)})"
+
+
+class LazyEnabledSets(Sequence):
+    """Per-configuration enabled vertex sets, kept as row-position arrays.
+
+    The superstep path of :class:`repro.core.vector.VectorEngine` already
+    computes each step's enabled rows as an int64 position array; turning
+    every one into a ``frozenset`` of vertex ids costs more than the step's
+    kernel work on a big ring, and sweeps rarely read them.  This sequence
+    keeps the arrays and builds a set only when an index is read.
+
+    Consecutive configurations with equal enabled masks share one array
+    object (a fixed point shares one array across the whole fast-forward),
+    and sets are cached per distinct array: repeated reads of an index, and
+    reads of two indices sharing an array, return the same ``frozenset``
+    object, so a full walk (``count_rounds``) builds each set at most once.
+    Slices are :class:`LazyEnabledSets` sharing the arrays and the cache.
+    """
+
+    __slots__ = ("_positions", "_vertices", "_built")
+
+    def __init__(
+        self,
+        positions: List[object],
+        vertices: Sequence[VertexId],
+        _built: Optional[Dict[int, tuple]] = None,
+    ) -> None:
+        self._positions = positions
+        self._vertices = vertices
+        # id(array) -> (array, frozenset); holding the array pins its id.
+        self._built: Dict[int, tuple] = {} if _built is None else _built
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def _set_of(self, positions) -> FrozenSet[VertexId]:
+        entry = self._built.get(id(positions))
+        if entry is None:
+            entry = (positions, self._build(positions))
+            self._built[id(positions)] = entry
+        return entry[1]
+
+    def _build(self, positions) -> FrozenSet[VertexId]:
+        return frozenset(map(self._vertices.__getitem__, positions.tolist()))
+
+    def __getitem__(self, index: Union[int, slice]):
+        if isinstance(index, slice):
+            return LazyEnabledSets(self._positions[index], self._vertices, self._built)
+        return self._set_of(self._positions[index])
+
+    def __iter__(self) -> Iterator[FrozenSet[VertexId]]:
+        return map(self._set_of, self._positions)
+
+    @property
+    def materialized_count(self) -> int:
+        """How many distinct sets have been built so far, over this log and
+        every slice sharing its cache (diagnostics and tests)."""
+        return len(self._built)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return (
+            f"LazyEnabledSets(length={len(self)}, "
+            f"materialized={len(self._built)})"
+        )
 
 
 class LazyConfigurationTrace(Sequence[Configuration]):
@@ -285,15 +355,24 @@ class Execution:
             if isinstance(configurations, LazyConfigurationTrace)
             else list(configurations)
         )
-        self._selections: List[FrozenSet[VertexId]] = [frozenset(s) for s in selections]
-        # Lazy activation logs are kept as-is so records materialize on
-        # demand (mirroring the lazy configuration trace).
+        # Lazy activation logs and enabled-set logs are kept as-is so records
+        # and sets materialize on demand (mirroring the lazy configuration
+        # trace).
+        self._selections: Sequence[FrozenSet[VertexId]] = (
+            selections
+            if isinstance(selections, LazyEnabledSets)
+            else [frozenset(s) for s in selections]
+        )
         self._activations: Sequence[Tuple[ActivationRecord, ...]] = (
             activations
             if isinstance(activations, LazyActivations)
             else [tuple(a) for a in activations]
         )
-        self._enabled_sets: List[FrozenSet[VertexId]] = [frozenset(s) for s in enabled_sets]
+        self._enabled_sets: Sequence[FrozenSet[VertexId]] = (
+            enabled_sets
+            if isinstance(enabled_sets, LazyEnabledSets)
+            else [frozenset(s) for s in enabled_sets]
+        )
         self.truncated = truncated
 
     @classmethod

@@ -61,7 +61,7 @@ from ..exceptions import SimulationError
 from ..graphs import Graph
 from ..types import VertexId, VertexStateLike
 from .daemons import Daemon
-from .execution import DeltaLog, Execution, LazyActivations
+from .execution import DeltaLog, Execution, LazyActivations, LazyEnabledSets
 from .protocol import ActivationRecord, Protocol
 from .rules import Rule
 from .state import Configuration
@@ -247,7 +247,13 @@ class GraphIndex:
         starts = self.indptr[changed]
         stops = self.indptr[changed + 1]
         neighbors = self.indices[_concat_ranges(starts, stops, stops - starts)]
-        return np.unique(np.concatenate((changed, neighbors)))
+        # Sort, then keep each entry that differs from its predecessor:
+        # np.unique's result without its per-call dispatch overhead.
+        rows = np.concatenate((changed, neighbors))
+        rows.sort()
+        keep = np.ones(rows.size, dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=keep[1:])
+        return rows[keep]
 
     def min_over_edges(self, edge_values, empty):
         """Per-vertex ``min`` of a per-adjacency-entry int array.
@@ -879,9 +885,13 @@ class VectorEngine:
     One instance per protocol; stateless between runs.  Each step is a
     constant number of whole-array operations: guard evaluation through the
     protocol's :class:`ArrayKernel`, firing through vectorized actions, and
-    O(Δ)-in-C bookkeeping for the trace.  The enabled frozenset is rebuilt
-    only when the enabled *membership* actually changed (in the dense
-    steady state — unison under the synchronous daemon — it never does).
+    O(Δ)-in-C bookkeeping for the trace.  The enabled row positions are
+    recomputed only when the enabled *membership* actually changed (in the
+    dense steady state — unison under the synchronous daemon — it never
+    does).  :meth:`run` hands the daemon a ``frozenset`` rebuilt at those
+    changes; :meth:`run_supersteps`, which consults no daemon, records the
+    position arrays themselves in a :class:`~repro.core.LazyEnabledSets`
+    and builds a set only when the execution is asked for it.
     """
 
     __slots__ = (
@@ -1149,6 +1159,12 @@ class VectorEngine:
           reconstructed on demand by replaying the (deterministic) kernel
           from the nearest checkpoint (:class:`_SuperstepReplayer`), so
           memory stays O(n · steps / superstep) instead of O(n · steps).
+        * **Enabled sets and selections** are recorded as the enabled row
+          positions the loop computes anyway, one array shared by every
+          step with the same enabled mask, in a
+          :class:`~repro.core.LazyEnabledSets`: ``enabled_at(i)`` and
+          ``selection(i)`` build their ``frozenset`` on first read and
+          cache it per distinct array, so a run nobody inspects builds none.
         * **Safety monitoring** stays in-kernel when ``stop_when`` is a
           :class:`~repro.core.SafetyMonitor`'s bare ``observe`` (no wrapped
           predicate) and every monitored specification implements
@@ -1195,7 +1211,9 @@ class VectorEngine:
         vertices = index.vertices
         light = trace == "light"
 
-        enabled_sets: List[FrozenSet[VertexId]] = []
+        # One row-position array per recorded configuration; consecutive
+        # equal masks share one array (see LazyEnabledSets).
+        enabled_positions: List[object] = []
         step_counts: List[int] = []
         checkpoints: Dict[int, object] = {0: states.copy()}
         replayer = _SuperstepReplayer(
@@ -1238,7 +1256,6 @@ class VectorEngine:
         truncated = True
         rule_ids = kernel.enabled_rules(states, index)
         mask_cached = None
-        enabled_fs: FrozenSet[VertexId] = frozenset()
         enabled_pos = None
         stop_at: Optional[int] = None
         while True:
@@ -1246,13 +1263,7 @@ class VectorEngine:
             if mask_cached is None or not np.array_equal(mask, mask_cached):
                 mask_cached = mask
                 enabled_pos = np.flatnonzero(mask)
-                if enabled_pos.size == index.n:
-                    enabled_fs = frozenset(vertices)
-                else:
-                    enabled_fs = frozenset(
-                        map(vertices.__getitem__, enabled_pos.tolist())
-                    )
-            enabled_sets.append(enabled_fs)
+            enabled_positions.append(enabled_pos)
             # Batched stop_when: at each block boundary (and at entry, for
             # index 0) replay the block just executed strictly in order and
             # hand every configuration to the predicate with its exact step
@@ -1262,7 +1273,7 @@ class VectorEngine:
                 stop_at = scan_until(steps)
                 if stop_at is not None:
                     break
-            if not enabled_fs:
+            if enabled_pos.size == 0:
                 truncated = False
                 break
             if steps == max_steps:
@@ -1291,10 +1302,10 @@ class VectorEngine:
                 # wholesale instead of spinning the kernel.
                 checkpoints[steps] = states.copy()
                 remaining = max_steps - steps
-                enabled_sets.extend([enabled_fs] * remaining)
+                enabled_positions.extend([enabled_pos] * remaining)
                 step_counts.extend([step_counts[-1]] * remaining)
                 steps = max_steps
-                enabled_sets.append(enabled_fs)
+                enabled_positions.append(enabled_pos)
                 truncated = True
                 break
             if steps % superstep == 0:
@@ -1308,7 +1319,7 @@ class VectorEngine:
             # enabled set of stop_at recorded, truncated.
             steps = stop_at
             truncated = True
-            del enabled_sets[steps + 1 :]
+            del enabled_positions[steps + 1 :]
             del step_counts[steps:]
             for key in [k for k in checkpoints if k > steps]:
                 del checkpoints[key]
@@ -1320,6 +1331,7 @@ class VectorEngine:
                 dict(zip(vertices, codec.decode(states)))
             )
 
+        enabled_sets = LazyEnabledSets(enabled_positions, vertices)
         selections = enabled_sets[:steps]
         action_log = _SuperstepActionLog(
             replayer, step_counts, vertices, kernel.rule_names, codec

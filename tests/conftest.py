@@ -57,3 +57,10 @@ def small_graph(request) -> Graph:
         "grid": grid_graph(3, 3),
         "complete": complete_graph(4),
     }[request.param]
+
+
+def pytest_configure(config):
+    """Register the suite's custom marks (they select nothing by default)."""
+    config.addinivalue_line(
+        "markers", "slow: a slower test; still part of the default run"
+    )

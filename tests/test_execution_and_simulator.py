@@ -11,6 +11,7 @@ from repro.core import (
     CentralDaemon,
     Configuration,
     Execution,
+    LazyEnabledSets,
     Protocol,
     Rule,
     Simulator,
@@ -247,3 +248,87 @@ class TestExecutionValidation:
             Execution([], [], [], [], truncated=True)
         with pytest.raises(SimulationError):
             Execution([gamma], [frozenset({0})], [], [], truncated=True)
+
+
+class TestLazyEnabledSets:
+    """The position-array enabled-set log the superstep engine records."""
+
+    @pytest.fixture
+    def log(self):
+        np = pytest.importorskip("numpy")
+        vertices = ("a", "b", "c", "d")
+        both = np.array([0, 2], dtype=np.int64)
+        last = np.array([3], dtype=np.int64)
+        none = np.empty(0, dtype=np.int64)
+        return LazyEnabledSets([both, both, last, both, none], vertices)
+
+    def test_reads_build_sets_of_vertex_ids(self, log):
+        assert len(log) == 5
+        assert log.materialized_count == 0
+        assert log[0] == frozenset({"a", "c"})
+        assert log[2] == frozenset({"d"})
+        assert log[-1] == frozenset()
+        assert list(log) == [
+            frozenset({"a", "c"}),
+            frozenset({"a", "c"}),
+            frozenset({"d"}),
+            frozenset({"a", "c"}),
+            frozenset(),
+        ]
+        with pytest.raises(IndexError):
+            log[5]
+
+    def test_shared_arrays_share_one_cached_set(self, log):
+        first = log[0]
+        assert log[0] is first
+        assert log[1] is first
+        assert log[3] is first
+        assert log.materialized_count == 1
+
+    def test_slices_share_arrays_and_cache(self, log):
+        first = log[0]
+        tail = log[1:]
+        assert isinstance(tail, LazyEnabledSets)
+        assert len(tail) == 4
+        assert tail[0] is first
+        assert tail[1] == frozenset({"d"})
+        assert log[2] is tail[1]
+        assert log.materialized_count == tail.materialized_count == 2
+
+    def test_execution_keeps_the_log_lazy(self, log):
+        configurations = [Configuration({"a": i, "b": 0, "c": 0, "d": 0}) for i in range(5)]
+        lazy = Execution(
+            configurations=configurations,
+            selections=log[:4],
+            activations=[()] * 4,
+            enabled_sets=log,
+            truncated=False,
+        )
+        eager = Execution(
+            configurations=configurations,
+            selections=list(log)[:4],
+            activations=[()] * 4,
+            enabled_sets=list(log),
+            truncated=False,
+        )
+        assert isinstance(lazy._enabled_sets, LazyEnabledSets)
+        assert isinstance(lazy._selections, LazyEnabledSets)
+        assert lazy.steps == eager.steps == 4
+        for i in range(5):
+            assert lazy.enabled_at(i) == eager.enabled_at(i)
+        with pytest.raises(SimulationError):
+            lazy.enabled_at(5)
+        with pytest.raises(SimulationError):
+            lazy.selection(4)
+        assert lazy.selection(1) is lazy.enabled_at(1)
+        for cut in range(5):
+            for view, reference in (
+                (lazy.prefix(cut), eager.prefix(cut)),
+                (lazy.suffix(cut), eager.suffix(cut)),
+            ):
+                assert isinstance(view._enabled_sets, LazyEnabledSets)
+                assert [view.enabled_at(i) for i in range(view.steps + 1)] == [
+                    reference.enabled_at(i) for i in range(reference.steps + 1)
+                ]
+                assert view.count_rounds() == reference.count_rounds()
+        assert lazy.count_rounds() == eager.count_rounds()

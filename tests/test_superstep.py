@@ -26,17 +26,20 @@ from repro.core import (
     ArrayKernel,
     CentralDaemon,
     Configuration,
+    Execution,
     GraphIndex,
     IntCodec,
+    LazyEnabledSets,
     Protocol,
     Rule,
     SafetyMonitor,
     Simulator,
     SynchronousDaemon,
     VectorEngine,
+    measure_stabilization,
 )
 from repro.exceptions import SimulationError
-from repro.graphs import random_connected_graph, ring_graph
+from repro.graphs import grid_graph, random_connected_graph, ring_graph, star_graph
 from repro.lowerbound import immediate_double_privilege_configuration
 from repro.mutex import SSME, DijkstraTokenRing
 from repro.mutex.specification import MutualExclusionSpec
@@ -327,6 +330,33 @@ def test_dijkstra_subset_guards_match_full_scan(state_seed):
         assert np.array_equal(subset, full[rows])
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [ring_graph(40), grid_graph(6, 7), star_graph(30)],
+    ids=["ring", "grid", "star"],
+)
+def test_dirty_rows_matches_np_unique(graph):
+    """The sort-and-compare dedup returns exactly ``np.unique`` of the
+    changed rows plus their neighbours: sorted, unique, same dtype."""
+    index = GraphIndex(graph)
+    rng = random.Random(index.n)
+    for size in (0, 1, 2, 5, index.n // 2, index.n):
+        for _ in range(4):
+            changed = np.array(
+                sorted(rng.sample(range(index.n), size)), dtype=np.int64
+            )
+            starts = index.indptr[changed]
+            stops = index.indptr[changed + 1]
+            neighbors = np.concatenate(
+                [index.indices[a:b] for a, b in zip(starts, stops)]
+                + [np.empty(0, dtype=np.int64)]
+            )
+            expected = np.unique(np.concatenate((changed, neighbors)))
+            actual = index.dirty_rows(changed)
+            assert actual.dtype == expected.dtype
+            assert np.array_equal(actual, expected), (size, changed)
+
+
 def test_subset_refresh_keeps_sparse_selections_exact():
     """A central daemon forced onto the vector backend exercises the
     in-place ``rule_ids`` patching on every action."""
@@ -593,3 +623,170 @@ def test_unison_safe_rows_alternating_orders():
     for order in (forward, tuple(reversed(forward)), forward, tuple(reversed(forward))):
         rows = np.stack([codec.encode(c, order) for c in configurations])
         assert spec.safe_rows(rows, order, protocol).tolist() == expected
+
+
+# --------------------------------------------------------------------- #
+# Lazy enabled-set log: positions recorded, frozensets built on read
+# --------------------------------------------------------------------- #
+def _recorded_enabled(execution):
+    return [execution.enabled_at(i) for i in range(len(execution._enabled_sets))]
+
+
+@pytest.mark.parametrize("protocol_name", sorted(PROTOCOLS))
+@pytest.mark.parametrize("trace", ["full", "light"])
+@pytest.mark.parametrize("stop_at", [None, 0, 37], ids=["no-stop", "stop-0", "stop-37"])
+def test_lazy_enabled_sets_match_the_reference_engine(protocol_name, trace, stop_at):
+    """Every recorded enabled set and selection of a superstep run equals
+    the reference engine's, with and without a replayed ``stop_when``
+    (whose trigger rolls the position log back to the kept prefix)."""
+    protocol = PROTOCOLS[protocol_name]()
+    initial = protocol.random_configuration(random.Random(11))
+    stop_when = None if stop_at is None else (lambda c, i: i >= stop_at)
+    reference = Simulator(
+        protocol, SynchronousDaemon(), rng=random.Random(0),
+        engine="reference", trace=trace,
+    ).run(initial, max_steps=150, stop_when=stop_when)
+    batched = VectorEngine(protocol).run_supersteps(
+        SynchronousDaemon(), random.Random(0), initial, max_steps=150,
+        stop_when=stop_when, trace=trace, superstep=8,
+    )
+    assert isinstance(batched._enabled_sets, LazyEnabledSets)
+    assert isinstance(batched._selections, LazyEnabledSets)
+    assert batched.steps == reference.steps == (150 if stop_at is None else stop_at)
+    assert len(batched._enabled_sets) == len(reference._enabled_sets)
+    assert _recorded_enabled(batched) == _recorded_enabled(reference)
+    for i in range(batched.steps):
+        assert batched.selection(i) == reference.selection(i), i
+        # Selections slice the enabled-set log and share its cache.
+        assert batched.selection(i) is batched.enabled_at(i)
+    assert batched.count_rounds() == reference.count_rounds()
+
+
+def test_fixed_point_fast_forward_shares_one_enabled_set():
+    protocol = StutterProtocol(ring_graph(6))
+    initial = protocol.random_configuration(random.Random(2))
+    execution = VectorEngine(protocol).run_supersteps(
+        SynchronousDaemon(), random.Random(0), initial, max_steps=300, superstep=64,
+    )
+    enabled = execution._enabled_sets
+    assert enabled.materialized_count == 0
+    first = execution.enabled_at(10)
+    assert first == frozenset(protocol.graph.vertices)
+    assert execution.enabled_at(10) is first
+    assert execution.enabled_at(250) is first
+    assert execution.enabled_at(300) is first
+    assert execution.selection(299) is first
+    assert enabled.materialized_count == 1
+    assert execution.count_rounds() == 300
+    assert enabled.materialized_count == 1
+
+
+@pytest.mark.parametrize("protocol_name", sorted(PROTOCOLS))
+@pytest.mark.parametrize("trace", ["full", "light"])
+def test_lazy_enabled_sets_prefix_suffix_and_rounds_match_eager(protocol_name, trace):
+    """``prefix``/``suffix`` keep the lazy log and agree with an execution
+    built from the same sets as plain lists; ``count_rounds`` builds each
+    distinct set at most once."""
+    protocol = PROTOCOLS[protocol_name]()
+    initial = protocol.random_configuration(random.Random(4))
+    lazy = VectorEngine(protocol).run_supersteps(
+        SynchronousDaemon(), random.Random(0), initial, max_steps=120,
+        trace=trace, superstep=16,
+    )
+    positions = lazy._enabled_sets._positions
+    distinct = len({id(p) for p in positions})
+    assert lazy.count_rounds() == lazy.steps
+    assert lazy._enabled_sets.materialized_count <= distinct
+    eager = Execution(
+        configurations=list(lazy.configurations),
+        selections=[lazy.selection(i) for i in range(lazy.steps)],
+        activations=[lazy.activation_records(i) for i in range(lazy.steps)],
+        enabled_sets=_recorded_enabled(lazy),
+        truncated=lazy.truncated,
+    )
+    assert lazy._enabled_sets.materialized_count == distinct
+    for cut in (0, 1, 17, 64, lazy.steps):
+        for view, reference in (
+            (lazy.prefix(cut), eager.prefix(cut)),
+            (lazy.suffix(cut), eager.suffix(cut)),
+        ):
+            assert isinstance(view._enabled_sets, LazyEnabledSets)
+            assert isinstance(view._selections, LazyEnabledSets)
+            assert view.steps == reference.steps
+            assert view.truncated == reference.truncated
+            assert _recorded_enabled(view) == _recorded_enabled(reference)
+            assert [view.selection(i) for i in range(view.steps)] == [
+                reference.selection(i) for i in range(reference.steps)
+            ]
+            assert view.count_rounds() == reference.count_rounds()
+
+
+@pytest.mark.parametrize("trace", ["full", "light"])
+def test_adaptive_stitching_reads_the_lazy_log(trace):
+    """An adaptive run promoted onto the superstep backend stitches the
+    segment's lazy log into the same sets the incremental engine records."""
+    protocol = SSME(ring_graph(24))
+    initial = protocol.random_configuration(random.Random(0))
+    runs = {}
+    for engine in ("incremental", "adaptive"):
+        simulator = Simulator(
+            protocol, SynchronousDaemon(), rng=random.Random(0),
+            engine=engine, trace=trace,
+        )
+        runs[engine] = simulator.run(initial, max_steps=96)
+    assert simulator.last_run_switches[-1].backend == "vector-superstep"
+    adaptive, reference = runs["adaptive"], runs["incremental"]
+    assert _recorded_enabled(adaptive) == _recorded_enabled(reference)
+    assert [adaptive.selection(i) for i in range(adaptive.steps)] == [
+        reference.selection(i) for i in range(reference.steps)
+    ]
+    assert adaptive.count_rounds() == reference.count_rounds()
+    assert _recorded_enabled(adaptive.prefix(50)) == _recorded_enabled(
+        reference.prefix(50)
+    )
+
+
+class _CountingBuild:
+    """Counts ``LazyEnabledSets`` frozenset builds across all instances."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        build = LazyEnabledSets._build
+
+        def counting(log, positions):
+            self.calls += 1
+            return build(log, positions)
+
+        monkeypatch.setattr(LazyEnabledSets, "_build", counting)
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [lambda: SSME(ring_graph(40)), lambda: DijkstraTokenRing(ring_graph(40))],
+    ids=["ssme", "dijkstra"],
+)
+def test_superstep_runs_build_no_enabled_set_unless_read(factory, monkeypatch):
+    builds = _CountingBuild(monkeypatch)
+    protocol = factory()
+    spec = MutualExclusionSpec(protocol)
+    initial = protocol.random_configuration(random.Random(1))
+    measurement = measure_stabilization(
+        protocol, SynchronousDaemon(), initial, spec, horizon=200,
+        trace="light", count_rounds=False,
+    )
+    assert measurement.stabilized
+    assert builds.calls == 0
+
+    simulator = Simulator(
+        protocol, SynchronousDaemon(), rng=random.Random(0), trace="light"
+    )
+    execution = simulator.run(
+        initial, max_steps=200, stop_when=SafetyMonitor([spec], protocol).observe
+    )
+    assert simulator.last_run_backend == "vector-superstep"
+    assert builds.calls == 0
+    enabled = execution.enabled_at(3)
+    assert builds.calls == 1
+    assert execution.enabled_at(3) is enabled
+    assert execution.selection(3) is enabled
+    assert builds.calls == 1
