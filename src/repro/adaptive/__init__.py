@@ -1,16 +1,13 @@
-"""Online regime detection, mid-run engine switching, adaptive speculation.
+"""Online regime detection and adaptive speculation.
 
 This package closes the loop the paper opens (see ``PAPER.md`` and
-``docs/adaptive.md``): instead of choosing the engine backend and the
-rule set once, up front, from *declared* schedule properties, it watches
-the schedule a daemon actually produces and re-decides online.
+``docs/adaptive.md``): instead of choosing the rule set once, up front,
+from *declared* schedule properties, it watches the schedule a daemon
+actually produces and re-decides online.
 
 * :class:`RegimeDetector` — streaming daemon-density / schedule-synchrony
   estimates from the recent activation stream (deterministic given the
   run's seed).
-* :class:`AdaptiveEngine` — mid-run backend switching between the dict
-  dirty-set paths and the array-state kernels, with bit-for-bit trajectory
-  equivalence to every fixed backend (``Simulator(engine="adaptive")``).
 * :class:`AdaptiveProtocol` — speculative (SSME) vs conservative
   (minimal-spacing clock mutex) rule-set switching at mutually valid
   configurations, preserving self-stabilization.
@@ -18,14 +15,11 @@ the schedule a daemon actually produces and re-decides online.
 
 from .detector import RegimeDetector, RegimeEstimate
 from .protocol import AdaptiveProtocol, AdaptiveProtocolRun, ProtocolSwitch
-from .switching import AdaptiveEngine, SwitchEvent
 
 __all__ = [
-    "AdaptiveEngine",
     "AdaptiveProtocol",
     "AdaptiveProtocolRun",
     "ProtocolSwitch",
     "RegimeDetector",
     "RegimeEstimate",
-    "SwitchEvent",
 ]

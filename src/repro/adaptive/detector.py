@@ -9,9 +9,9 @@ online half — a streaming estimator that watches the selections a daemon
 actually makes and classifies the current *regime*:
 
 * **density** — EWMA of ``|selection| / n``, the fraction of the graph
-  activated per action.  This is the signal backend switching keys on: the
-  array kernels win when most rows fire each step, the dict dirty-set
-  paths win when few do.
+  activated per action.  This is the signal rule-set switching keys on:
+  the speculative rule set pays off when most vertices fire each step, the
+  conservative one when few do.
 * **coverage** — EWMA of ``|selection| / |enabled|``, how synchronous the
   schedule is relative to what *could* fire.  1.0 means sd-like behaviour
   even when the enabled set itself is small.
@@ -23,8 +23,8 @@ actually makes and classifies the current *regime*:
 
 The detector is a pure function of the observation stream — it draws no
 randomness and keeps no wall-clock state — so a seeded run reproduces the
-exact estimate stream, and with it every decision the adaptive engine and
-protocol take (``tests/test_adaptive.py`` pins this determinism).
+exact estimate stream, and with it every decision the adaptive protocol
+takes (``tests/test_adaptive.py`` pins this determinism).
 """
 
 from __future__ import annotations

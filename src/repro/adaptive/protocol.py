@@ -30,13 +30,14 @@ protocol's own convergence applies on the final segment.
 The wrapper is a *runner* (not a :class:`~repro.core.Protocol` subclass):
 a protocol's rule set is consulted by every engine per step, whereas
 adaptive speculation changes it only at segment boundaries — so the clean
-seam is the same segment-wise delegation the adaptive engine uses.
+seam is segment-wise delegation: each segment is one
+:meth:`~repro.core.Simulator.run` of the active rule set.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from ..core.daemons import Daemon
 from ..core.simulator import Simulator
@@ -45,14 +46,60 @@ from ..exceptions import SimulationError
 from ..graphs import Graph, diameter
 from ..mutex import SSME, MutualExclusionSpec
 from ..mutex.variants import ParametricClockMutex, minimal_safe_spacing
+from ..types import VertexId
 from .detector import RegimeDetector
-from .switching import _ProbeDaemon
 
 __all__ = ["AdaptiveProtocol", "AdaptiveProtocolRun", "ProtocolSwitch"]
 
 #: Rule-set labels.
 SPECULATIVE = "speculative"
 CONSERVATIVE = "conservative"
+
+
+class _ProbeDaemon(Daemon):
+    """Transparent daemon wrapper feeding the regime detector.
+
+    Forwards ``select`` to the wrapped daemon with the *run-global* step
+    index (segments restart their local index at 0) and observes every
+    selection.  The advisory attributes mirror the inner daemon's so any
+    backend heuristic consulted downstream sees the real schedule.  The
+    probe does **not** forward ``reset``: scheduling memory (round-robin
+    cursors, starvation targets) must survive segment boundaries — the
+    simulator already reset the inner daemon once, at run start.
+    """
+
+    name = "adaptive-probe"
+
+    def __init__(self, inner: Daemon, detector: RegimeDetector) -> None:
+        super().__init__()
+        self._inner = inner
+        self._detector = detector
+        self.offset = 0
+        self.dense = inner.dense
+        self.synchronous = inner.synchronous
+        self.density = inner.density
+
+    def bind(self, protocol) -> None:
+        super().bind(protocol)
+        self._inner.bind(protocol)
+
+    def select(
+        self,
+        enabled: FrozenSet[VertexId],
+        configuration: Configuration,
+        step_index: int,
+        rng: random.Random,
+    ) -> FrozenSet[VertexId]:
+        selection = self._inner.select(
+            enabled, configuration, self.offset + step_index, rng
+        )
+        self._detector.observe(len(selection), len(enabled), selection)
+        return selection
+
+    def admits_selection(
+        self, enabled: FrozenSet[VertexId], selection: FrozenSet[VertexId]
+    ) -> bool:
+        return self._inner.admits_selection(enabled, selection)
 
 
 class ProtocolSwitch(NamedTuple):

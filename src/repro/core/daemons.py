@@ -500,13 +500,15 @@ class RegimeSwitchingDaemon(Daemon):
     membership is a pure function of the step index, so executions are
     deterministic given the seed.
 
-    This is the canonical *regime-switch workload* for the adaptive engine
-    (:mod:`repro.adaptive`): neither phase dominates the run, so any fixed
-    backend choice is wrong half the time.  The advisory flags deliberately
-    stay at their sparse defaults (``dense=False``, ``synchronous=False``):
-    ``engine="auto"`` must keep the incremental engine for this daemon —
-    exploiting the dense phases mid-run is exactly the adaptive engine's
-    job, not static backend selection's.
+    This is the canonical *regime-switch workload* for
+    :class:`~repro.adaptive.AdaptiveProtocol` (:mod:`repro.adaptive`, E10's
+    switching rows): neither phase dominates the run, so any fixed rule-set
+    choice is wrong half the time.  The advisory flags deliberately stay at
+    their sparse defaults (``dense=False``, ``synchronous=False``): a mixed
+    schedule declares no single density, so ``engine="auto"`` keeps the
+    incremental engine for this daemon — reading the phases online is the
+    :class:`~repro.adaptive.RegimeDetector`'s job, not static backend
+    selection's.
     """
 
     name = "regime-switch"

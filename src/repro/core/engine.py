@@ -123,7 +123,6 @@ class IncrementalEngine:
         "_neighbors",
         "_vector",
         "last_run_backend",
-        "last_final_configuration",
     )
 
     #: Refresh-mode switch: when ``len(changes) * _BATCH_DENSITY >= n`` the
@@ -145,11 +144,6 @@ class IncrementalEngine:
         #: Which backend the most recent ``run`` used ("vector-superstep",
         #: "vector" or "dict"); None before the first run.  Diagnostic only.
         self.last_run_backend: Optional[str] = None
-        #: The final configuration of the most recent ``run`` (None before
-        #: the first run).  Lets segment-wise callers (fault campaigns, the
-        #: adaptive engine) chain runs without forcing ``Execution.final``,
-        #: which on a light trace replays every delta.
-        self.last_final_configuration: Optional[Configuration] = None
 
     def _vector_engine(self):
         """The cached array-state backend, or None when unavailable.
@@ -181,7 +175,6 @@ class IncrementalEngine:
         stop_when: Optional[Callable[[Configuration, int], bool]] = None,
         trace: str = "full",
         backend: str = "auto",
-        superstep: Optional[int] = None,
     ) -> Execution:
         """Run up to ``max_steps`` actions from ``initial``.
 
@@ -200,8 +193,7 @@ class IncrementalEngine:
 
         ``backend`` selects between the dict-based sparse/batch paths
         (``"dict"``), the per-step NumPy array-state kernel (``"vector"``),
-        and the batched synchronous kernel loop (``"vector-superstep"``,
-        ``superstep`` steps per block — see
+        and the batched synchronous kernel loop (``"vector-superstep"``, see
         :meth:`VectorEngine.run_supersteps`); ``"auto"`` (default) picks the
         array backend for daemons :func:`prefers_array_backend` approves
         when the protocol declares one, upgrading to supersteps for
@@ -227,19 +219,7 @@ class IncrementalEngine:
                     # honoured as-is (benchmarks compare the two paths).
                     if daemon.synchronous and backend != "vector":
                         self.last_run_backend = "vector-superstep"
-                        execution = vector.run_supersteps(
-                            daemon=daemon,
-                            rng=rng,
-                            initial=initial,
-                            max_steps=max_steps,
-                            stop_when=stop_when,
-                            trace=trace,
-                            initial_array=encoded,
-                            superstep=superstep,
-                        )
-                    else:
-                        self.last_run_backend = "vector"
-                        execution = vector.run(
+                        return vector.run_supersteps(
                             daemon=daemon,
                             rng=rng,
                             initial=initial,
@@ -248,8 +228,16 @@ class IncrementalEngine:
                             trace=trace,
                             initial_array=encoded,
                         )
-                    self.last_final_configuration = vector.last_final_configuration
-                    return execution
+                    self.last_run_backend = "vector"
+                    return vector.run(
+                        daemon=daemon,
+                        rng=rng,
+                        initial=initial,
+                        max_steps=max_steps,
+                        stop_when=stop_when,
+                        trace=trace,
+                        initial_array=encoded,
+                    )
         self.last_run_backend = "dict"
         if set(initial) != set(self._vertices):
             raise SimulationError(
@@ -506,10 +494,6 @@ class IncrementalEngine:
                 current = buffer.snapshot() if changes else current
                 configurations.append(current)
 
-        # The buffer already holds the final states; snapshotting it here is
-        # O(n) once, versus an O(steps · Δ) delta replay through
-        # ``Execution.final`` on a light trace.
-        self.last_final_configuration = buffer.snapshot() if light else current
         if light:
             return Execution.from_activations(
                 initial=initial,

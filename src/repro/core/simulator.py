@@ -29,7 +29,6 @@ __all__ = ["StepResult", "Simulator"]
 #: Engine selection values accepted by :class:`Simulator`.
 ENGINES = (
     "auto",
-    "adaptive",
     "incremental",
     "vector",
     "vector-superstep",
@@ -95,17 +94,11 @@ class Simulator:
         (degrading to ``"vector"`` under a non-synchronous daemon, whose
         per-step selections supersteps cannot honour).  Both array requests
         fall back to ``"incremental"`` when the capability is unavailable —
-        NumPy stays optional.  ``"adaptive"`` re-decides the backend *online*
-        (:class:`repro.adaptive.AdaptiveEngine`): each run starts on the
-        dict paths, promotes to the array kernels when the regime detector
-        reads the schedule as dense, and demotes back when sparsity returns
-        — producing bit-for-bit the same executions as any fixed backend
-        (without NumPy it degrades to a single dict segment).  The switch
-        history of the last run is reported by :attr:`last_run_switches`.
-        ``"reference"`` runs the naive full-rescan semantics and serves as
-        the correctness oracle.  Protocols that override the base-class
-        transition methods automatically fall back to the reference engine.
-        The resolved choice is reported by :attr:`engine`.
+        NumPy stays optional.  ``"reference"`` runs the naive full-rescan
+        semantics and serves as the correctness oracle.  Protocols that
+        override the base-class transition methods automatically fall back
+        to the reference engine.  The resolved choice is reported by
+        :attr:`engine`; any other name raises :class:`SimulationError`.
     trace:
         ``"full"`` (default) records every configuration in the returned
         :class:`Execution`.  ``"light"`` records activations only and
@@ -160,16 +153,6 @@ class Simulator:
         # probe constructs the incremental engine (which runs would build
         # anyway) so the kernel it instantiates is the one that runs.
         self._incremental: Optional[IncrementalEngine] = None
-        self._adaptive = None
-        if engine == "adaptive":
-            if not self._prepared_ok:
-                engine = "reference"
-            else:
-                # Imported lazily: repro.adaptive builds on this module.
-                from ..adaptive.switching import AdaptiveEngine
-
-                self._incremental = IncrementalEngine(protocol)
-                self._adaptive = AdaptiveEngine(self._incremental)
         if engine in ("auto", "vector", "vector-superstep"):
             if engine == "auto" and not prefers_array_backend(daemon, protocol.graph.n):
                 engine = "incremental"
@@ -217,24 +200,10 @@ class Simulator:
         under the reference engine).  Diagnostic: the vector backend may
         decline a particular initial configuration (states outside the
         codec's integer layout) and fall back to the dict paths
-        mid-selection.  Under the adaptive engine this is the backend the
-        run *ended* on; :attr:`last_run_switches` has the full history."""
+        mid-selection."""
         if self._incremental is None:
             return None
         return self._incremental.last_run_backend
-
-    @property
-    def last_run_switches(self):
-        """Backend switch history of the most recent :meth:`run` as a tuple
-        of ``(step, backend)`` events — ``backend`` served the run from
-        ``step`` until the next event.  A fixed-backend run reports the
-        single event ``(0, backend)``; None before any run or under the
-        reference engine."""
-        if self._adaptive is not None:
-            return self._adaptive.last_run_switches or None
-        if self._incremental is None or self._incremental.last_run_backend is None:
-            return None
-        return ((0, self._incremental.last_run_backend),)
 
     @property
     def trace(self) -> str:
@@ -303,15 +272,6 @@ class Simulator:
                 f"unknown trace mode {trace!r}; known: {', '.join(TRACE_MODES)}"
             )
         self._daemon.reset()
-        if self._engine == "adaptive":
-            return self._adaptive.run(
-                daemon=self._daemon,
-                rng=self._rng,
-                initial=initial,
-                max_steps=max_steps,
-                stop_when=stop_when,
-                trace=trace,
-            )
         if self._engine in ("incremental", "vector", "vector-superstep"):
             if self._incremental is None:
                 self._incremental = IncrementalEngine(self._protocol)

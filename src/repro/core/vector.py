@@ -900,7 +900,6 @@ class VectorEngine:
         "_codec",
         "_kernel",
         "_subset_refresh",
-        "last_final_configuration",
     )
 
     #: Default superstep cadence: K synchronous steps executed per kernel
@@ -943,10 +942,6 @@ class VectorEngine:
         self._subset_refresh = (
             type(kernel).enabled_rules_for is not ArrayKernel.enabled_rules_for
         )
-        #: The final configuration of the most recent run (None before the
-        #: first).  Mirrors ``IncrementalEngine.last_final_configuration`` so
-        #: segment-wise callers never replay a light trace for its endpoint.
-        self.last_final_configuration: Optional[Configuration] = None
 
     def encode_initial(self, initial: Configuration):
         """``initial`` as an ``(n, width)`` array, or None when it does not
@@ -1085,12 +1080,6 @@ class VectorEngine:
                     rule_ids, states, selected, changed_rows
                 )
 
-        if light:
-            self.last_final_configuration = Configuration._from_trusted_dict(
-                dict(zip(vertices, codec.decode(states)))
-            )
-        else:
-            self.last_final_configuration = current
         activations = LazyActivations(actions)
         if light:
             return Execution.from_activations(
@@ -1323,13 +1312,6 @@ class VectorEngine:
             del step_counts[steps:]
             for key in [k for k in checkpoints if k > steps]:
                 del checkpoints[key]
-            # The live state array ran ahead of the rollback point; the
-            # replayer reconstructs the kept prefix's endpoint.
-            self.last_final_configuration = replayer.configuration_at(steps)
-        else:
-            self.last_final_configuration = Configuration._from_trusted_dict(
-                dict(zip(vertices, codec.decode(states)))
-            )
 
         enabled_sets = LazyEnabledSets(enabled_positions, vertices)
         selections = enabled_sets[:steps]

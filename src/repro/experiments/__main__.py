@@ -38,6 +38,7 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
+from ..core.simulator import ENGINES
 from ..jobs import Journal, ProgressEvent, ResultStore
 from ..jobs.store import DEFAULT_CACHE_DIR
 from .reporting import EXPERIMENT_DRIVERS, render_experiments_markdown, run_all_experiments
@@ -132,7 +133,7 @@ def scenarios_main(argv: Sequence[str]) -> int:
     run_parser.add_argument(
         "--engine",
         default="auto",
-        choices=("auto", "adaptive", "reference", "incremental", "vector", "vector-superstep"),
+        choices=ENGINES,
         help="simulation engine backend (default: auto)",
     )
     run_parser.add_argument(

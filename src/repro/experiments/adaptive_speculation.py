@@ -1,17 +1,10 @@
 """E10 — adaptive speculation: online regime switching vs the static bests.
 
-The paper's speculation story is static: pick the rule set (and, in this
-library, the engine backend) once, up front, for the schedule you *expect*.
-:mod:`repro.adaptive` makes both choices online.  This experiment pins the
-adaptive layer against the static optima it is supposed to match:
+The paper's speculation story is static: pick the rule set once, up front,
+for the schedule you *expect*.  :mod:`repro.adaptive` makes that choice
+online.  This experiment pins the adaptive protocol against the static
+optima it is supposed to match:
 
-* **engine equivalence** — ``Simulator(engine="adaptive")`` on a
-  regime-switching workload (alternating synchronous and sparse phases)
-  must produce the *bit-identical* trajectory of every fixed backend:
-  same step count, same moves, same selection stream, same final
-  configuration.  Adaptivity is a pure performance decision; this is the
-  correctness half of that claim (the wall-clock half lives in
-  ``benchmarks/bench_adaptive.py``).
 * **protocol vs certified optimum** — on rings small enough for the exact
   checker, :class:`~repro.adaptive.AdaptiveProtocol` (speculative SSME with
   a conservative clock-mutex fallback) runs under the synchronous daemon
@@ -24,10 +17,10 @@ adaptive layer against the static optima it is supposed to match:
   :func:`~repro.core.measure_speculation` gap so the certified/static/
   adaptive triangle is closed on one instance.
 * **protocol under regime switching** — the same adaptive protocol driven
-  by a regime-switching daemon must keep its self-stabilization story:
-  rule-set switches happen only at configurations valid for both rule
-  sets, and the run must end legitimate with safety holding from its
-  stabilization point on.
+  by a regime-switching daemon (alternating synchronous and sparse phases)
+  must keep its self-stabilization story: rule-set switches happen only at
+  configurations valid for both rule sets, and the run must end legitimate
+  with safety holding from its stabilization point on.
 
 Every row is one declarative :class:`~repro.jobs.JobSpec` executed through
 a :class:`~repro.jobs.Dispatcher`, so the expensive exact solves are
@@ -37,8 +30,6 @@ All reported numbers are deterministic (no wall-clock anywhere).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -46,7 +37,6 @@ from ..adaptive import AdaptiveProtocol
 from ..core import (
     CentralDaemon,
     RegimeSwitchingDaemon,
-    Simulator,
     SynchronousDaemon,
     measure_speculation,
 )
@@ -68,7 +58,7 @@ __all__ = [
 EXPERIMENT_ID = "E10"
 
 #: Folded into every emitted spec's ``spec_key``; bump on any change to
-#: the adaptive engine/protocol semantics these rows measure.
+#: the adaptive protocol semantics these rows measure.
 CODE_VERSION = "adaptive-speculation/1"
 
 _RUNNER = "repro.experiments.adaptive_speculation:run_job"
@@ -78,73 +68,6 @@ _RUNNER = "repro.experiments.adaptive_speculation:run_job"
 #: tolerance band — because a correct detector never abandons the
 #: speculative rule set while the schedule it speculates on persists.
 STATED_FACTOR = 1.0
-
-
-def _checksum(items: Any) -> str:
-    """Short deterministic digest of any JSON-serializable structure."""
-    blob = json.dumps(items, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
-
-
-def _trajectory_facts(execution, simulator: Simulator) -> Dict[str, Any]:
-    """The backend-independent identity of one run's trajectory."""
-    final = execution.final
-    selections = [sorted(execution.selection(i)) for i in range(execution.steps)]
-    return {
-        "steps": execution.steps,
-        "truncated": execution.truncated,
-        "moves": execution.moves(),
-        "final_checksum": _checksum(sorted(final.as_dict().items())),
-        "selections_checksum": _checksum(selections),
-        "backend": simulator.last_run_backend,
-    }
-
-
-def _engine_equivalence_row(
-    n: int,
-    dense_steps: int,
-    sparse_steps: int,
-    horizon: int,
-    initial_seed: int,
-    daemon_seed: int,
-) -> Dict[str, Any]:
-    """Adaptive vs fixed-backend trajectories on a regime-switch workload."""
-    protocol = SSME(ring_graph(n))
-    initial = protocol.random_configuration(random.Random(initial_seed))
-    facts: Dict[str, Dict[str, Any]] = {}
-    switch_count = 0
-    for engine in ("incremental", "adaptive"):
-        simulator = Simulator(
-            SSME(ring_graph(n)),
-            RegimeSwitchingDaemon(dense_steps, sparse_steps),
-            rng=random.Random(daemon_seed),
-            engine=engine,
-            trace="light",
-        )
-        execution = simulator.run(initial, max_steps=horizon)
-        facts[engine] = _trajectory_facts(execution, simulator)
-        if engine == "adaptive":
-            switch_count = len(simulator.last_run_switches or ())
-    reference, adaptive = facts["incremental"], facts["adaptive"]
-    equivalent = all(
-        reference[key] == adaptive[key]
-        for key in ("steps", "truncated", "moves", "final_checksum", "selections_checksum")
-    )
-    return {
-        "kind": "engine-equivalence",
-        "instance": f"ring({n})",
-        "daemon": f"regime-switch({dense_steps},{sparse_steps})",
-        "horizon": horizon,
-        "steps": adaptive["steps"],
-        "moves": adaptive["moves"],
-        "final_checksum": adaptive["final_checksum"],
-        "selections_checksum": adaptive["selections_checksum"],
-        "equivalent": equivalent,
-        # Environment-dependent (vector backends need NumPy) — reported for
-        # context, excluded from the cross-environment bench headline.
-        "adaptive_switches": switch_count,
-        "certified": equivalent,
-    }
 
 
 def _protocol_gap_row(n: int, random_count: int, workload_seed: int) -> Dict[str, Any]:
@@ -244,14 +167,6 @@ def _protocol_switching_row(
 def run_job(spec: JobSpec) -> Dict[str, Any]:
     """Execute one emitted row spec — a pure function of the spec."""
     kind = spec.param("kind")
-    if kind == "engine-equivalence":
-        return _engine_equivalence_row(
-            spec.graph_item("n"),
-            spec.param("dense_steps"),
-            spec.param("sparse_steps"),
-            spec.horizon,
-            *spec.seeds,
-        )
     if kind == "protocol-gap":
         return _protocol_gap_row(
             spec.graph_item("n"), spec.param("random_count"), spec.seeds[0]
@@ -268,7 +183,6 @@ def run_job(spec: JobSpec) -> Dict[str, Any]:
 
 
 def emit_jobs(
-    engine_sizes: Sequence[int] = (64, 96),
     gap_sizes: Sequence[int] = (4, 5, 6, 7, 8),
     switching_sizes: Sequence[int] = (8, 12),
     random_configurations_per_graph: int = 4,
@@ -295,17 +209,11 @@ def emit_jobs(
         )
         infos.append({"kind": kind, "n": dict(graph)["n"]})
 
-    for n in engine_sizes:
-        dense, sparse = 48, 96
-        _emit(
-            "engine-equivalence",
-            f"regime-switch({dense},{sparse})",
-            {"topology": "ring", "n": n},
-            (rng.randrange(2**63), rng.randrange(2**63)),
-            horizon=6 * (dense + sparse),
-            params=(("dense_steps", dense), ("sparse_steps", sparse)),
-            metrics=("equivalent", "steps", "moves"),
-        )
+    # Skip the four seeds the retired engine-equivalence rows (two rings,
+    # two seeds each) drew first, so the remaining rows keep their seeds —
+    # and with them their spec keys and cached results.
+    for _ in range(4):
+        rng.randrange(2**63)
     for n in gap_sizes:
         _emit(
             "protocol-gap",
@@ -330,7 +238,6 @@ def emit_jobs(
 
 
 def _aggregate(rows: Sequence[Dict[str, Any]]) -> ExperimentReport:
-    engine_rows = [row for row in rows if row["kind"] == "engine-equivalence"]
     gap_rows = [row for row in rows if row["kind"] == "protocol-gap"]
     switch_rows = [row for row in rows if row["kind"] == "protocol-switching"]
     ratios = [
@@ -339,7 +246,6 @@ def _aggregate(rows: Sequence[Dict[str, Any]]) -> ExperimentReport:
         if row["ratio_to_certified"] is not None
     ]
     summary = {
-        "engine_bit_identical_everywhere": all(r["equivalent"] for r in engine_rows),
         "adaptive_within_stated_factor": all(
             r["within_stated_factor"] for r in gap_rows
         ),
@@ -356,9 +262,7 @@ def _aggregate(rows: Sequence[Dict[str, Any]]) -> ExperimentReport:
         title="Adaptive speculation — online switching vs the static bests",
         paper_claim=(
             "Speculation resolved online matches the statically chosen "
-            "optimum: the adaptive engine reproduces every fixed backend's "
-            "trajectory bit-for-bit, and the adaptive protocol stays within "
-            "the stated factor of the certified exact speculation optimum "
+            "optimum: the adaptive protocol stays within the stated factor of the certified exact speculation optimum "
             "under the dense schedule while remaining self-stabilizing "
             "under regime switching"
         ),
@@ -366,14 +270,6 @@ def _aggregate(rows: Sequence[Dict[str, Any]]) -> ExperimentReport:
         summary=summary,
         passed=bool(summary["all_certified"]),
         notes=[
-            "Engine rows compare step counts, move counts and selection/"
-            "final-configuration checksums between engine='adaptive' and "
-            "the incremental reference — the checksums are backend- and "
-            "NumPy-independent, so the same numbers reproduce on array-less "
-            "builds (where the adaptive engine degrades to dict-only).",
-            "'adaptive_switches' is the one environment-dependent column "
-            "(promotions need the array kernels); it is excluded from the "
-            "committed benchmark headline.",
             "Protocol rows run the adaptive SSME/conservative-mutex pair "
             "under the synchronous daemon from the certified workload "
             "region: the detector keeps the speculative rule set active, "
@@ -389,7 +285,6 @@ def _aggregate(rows: Sequence[Dict[str, Any]]) -> ExperimentReport:
 
 
 def run_experiment(
-    engine_sizes: Sequence[int] = (64, 96),
     gap_sizes: Sequence[int] = (4, 5, 6, 7, 8),
     switching_sizes: Sequence[int] = (8, 12),
     random_configurations_per_graph: int = 4,
@@ -397,14 +292,13 @@ def run_experiment(
     workers: Optional[int] = None,
     dispatcher: Optional[Dispatcher] = None,
 ) -> ExperimentReport:
-    """Pin the adaptive layer against the static optima it must match.
+    """Pin the adaptive protocol against the static optima it must match.
 
     Rows are emitted as :class:`~repro.jobs.JobSpec`s and executed through
     ``dispatcher`` (or a throwaway one with ``workers`` processes); the
     exact solves on the larger rings cache and resume like every sweep.
     """
     _, specs = emit_jobs(
-        engine_sizes=engine_sizes,
         gap_sizes=gap_sizes,
         switching_sizes=switching_sizes,
         random_configurations_per_graph=random_configurations_per_graph,

@@ -79,7 +79,7 @@ class ExperimentDriver:
 #: artefacts; E7 is the ablation of the clock-size design choice; E8
 #: cross-validates the sampled sweeps against the exact model checker; E9
 #: runs the named fault-campaign scenarios (recurring faults + churn);
-#: E10 pins the adaptive layer (online engine/rule-set switching) against
+#: E10 pins the adaptive layer (online rule-set switching) against
 #: its static optima.
 #: Drivers declaring ``dispatcher`` emit their trial grids as job specs
 #: and ride the shared cache/worker-pool service layer.

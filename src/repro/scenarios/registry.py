@@ -342,9 +342,8 @@ SCENARIOS: Dict[str, Scenario] = _register(
         description=(
             "SSME on a ring under the regime-switching daemon (alternating "
             "synchronous and sparse phases) with periodic single-node "
-            "faults: recovery must hold across phase boundaries, and the "
-            "adaptive engine's promotion/demotion cycle (E10) is exercised "
-            "by the same workload shape."
+            "faults: recovery must hold across phase boundaries, the same "
+            "workload shape E10's adaptive-protocol switching rows run."
         ),
     ),
     Scenario(

@@ -1,43 +1,35 @@
-"""Tests for :mod:`repro.adaptive` — detector, engine switching, protocol.
+"""Tests for :mod:`repro.adaptive` — detector, probe daemon, protocol.
 
 Three contracts are pinned here:
 
 * the :class:`RegimeDetector` is a pure function of its observation
   stream (Hypothesis: identical streams produce identical estimate
   streams, and ``reset()`` restores a fresh detector);
-* ``engine="adaptive"`` is observationally identical to the fixed
-  backends — under pure-dense (sd), pure-sparse (cd) and regime-switching
-  schedules, in both trace modes, with a gapless ``stop_when`` stream —
-  and degrades to a single dict segment without NumPy;
+* the probe daemon is transparent: it forwards run-global step indices,
+  feeds every selection to the detector and keeps the inner daemon's
+  scheduling memory across segments;
 * :class:`AdaptiveProtocol` stabilizes across rule-set switches and
   reports a deterministic, internally consistent run record.
 
 The whole module runs with and without NumPy installed (the no-NumPy CI
-job runs it too): the with-NumPy-only promotion assertions guard on
-``numpy_available()``.
+job runs it too).
 """
 
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adaptive import (
-    AdaptiveProtocol,
-    RegimeDetector,
-    SwitchEvent,
-)
+from repro.adaptive import AdaptiveProtocol, RegimeDetector
+from repro.adaptive.protocol import _ProbeDaemon
 from repro.core import (
-    CentralDaemon,
+    Daemon,
     RegimeSwitchingDaemon,
-    Simulator,
     SynchronousDaemon,
     make_daemon,
-    numpy_available,
 )
 from repro.exceptions import DaemonError, SimulationError
 from repro.graphs import ring_graph
@@ -156,7 +148,8 @@ def test_regime_switching_daemon_phases_and_selections():
     assert len(sparse) == 1 and sparse <= enabled
 
     # Advisory flags stay at the sparse defaults: static selection must
-    # not route this daemon to the array backends (that is adaptive's job).
+    # not route this daemon to the array backends (reading its phases is
+    # the regime detector's job).
     assert not daemon.dense and not daemon.synchronous
 
 
@@ -171,136 +164,65 @@ def test_regime_switching_daemon_registry_and_validation():
 
 
 # --------------------------------------------------------------------- #
-# Adaptive engine equivalence
+# The probe daemon
 # --------------------------------------------------------------------- #
 
-DAEMONS = {
-    "sd": SynchronousDaemon,
-    "cd": CentralDaemon,
-    "regime-switch": lambda: RegimeSwitchingDaemon(48, 96),
-}
+
+class _RecordingDaemon(Daemon):
+    """Inner daemon recording what the probe forwards to it."""
+
+    name = "recording"
+    dense = True
+    synchronous = True
+    density = 0.75
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.step_indices = []
+        self.bound = None
+        self.cursor = 5
+
+    def bind(self, protocol) -> None:
+        super().bind(protocol)
+        self.bound = protocol
+
+    def reset(self) -> None:
+        self.cursor = 0
+
+    def select(self, enabled, configuration, step_index, rng):
+        self.step_indices.append(step_index)
+        return frozenset(sorted(enabled)[:2])
 
 
-def _run(protocol, daemon_name, engine, trace, initial, steps, seed):
-    simulator = Simulator(
-        protocol,
-        DAEMONS[daemon_name](),
-        rng=random.Random(seed),
-        engine=engine,
-        trace=trace,
-    )
-    execution = simulator.run(initial, max_steps=steps)
-    return simulator, execution
+class _RecordingDetector:
+    def __init__(self) -> None:
+        self.observed = []
+
+    def observe(self, selection_size, enabled_size, selection=None) -> None:
+        self.observed.append((selection_size, enabled_size, selection))
 
 
-def _normalized_records(execution):
-    normalized = []
-    for index in range(execution.steps):
-        records = sorted(
-            execution.activation_records(index),
-            key=lambda r: (repr(r.vertex), r.rule_name),
-        )
-        normalized.append(
-            [(r.vertex, r.rule_name, r.old_state, r.new_state) for r in records]
-        )
-    return normalized
+def test_probe_daemon_forwards_global_indices_and_feeds_the_detector():
+    protocol = SSME(ring_graph(6))
+    inner = _RecordingDaemon()
+    detector = _RecordingDetector()
+    probe = _ProbeDaemon(inner, detector)
+    assert (probe.dense, probe.synchronous, probe.density) == (True, True, 0.75)
 
+    probe.bind(protocol)
+    assert inner.bound is protocol
 
-@pytest.mark.parametrize("daemon_name", sorted(DAEMONS))
-@pytest.mark.parametrize("trace", ["full", "light"])
-def test_adaptive_engine_is_bit_identical_to_incremental(daemon_name, trace):
-    protocol = SSME(ring_graph(16))
-    initial = protocol.random_configuration(random.Random(3))
-    steps = 288 if daemon_name == "regime-switch" else 120
-    _, reference = _run(protocol, daemon_name, "incremental", "full", initial, steps, 7)
-    simulator, adaptive = _run(protocol, daemon_name, "adaptive", trace, initial, steps, 7)
+    configuration = protocol.random_configuration(random.Random(0))
+    enabled = frozenset(protocol.graph.vertices)
+    rng = random.Random(1)
+    probe.offset = 40
+    selections = [probe.select(enabled, configuration, i, rng) for i in range(3)]
+    assert inner.step_indices == [40, 41, 42]
+    assert detector.observed == [(2, 6, selection) for selection in selections]
 
-    assert adaptive.steps == reference.steps
-    assert adaptive.truncated == reference.truncated
-    assert list(adaptive.configurations) == list(reference.configurations)
-    assert [adaptive.selection(i) for i in range(adaptive.steps)] == [
-        reference.selection(i) for i in range(reference.steps)
-    ]
-    assert [adaptive.enabled_at(i) for i in range(adaptive.steps)] == [
-        reference.enabled_at(i) for i in range(reference.steps)
-    ]
-    assert _normalized_records(adaptive) == _normalized_records(reference)
-    assert adaptive.moves() == reference.moves()
-    assert adaptive.rule_counts() == reference.rule_counts()
-
-    # The switch history always exists and is duplicate-free; its step
-    # indices are strictly increasing from 0.
-    switches = simulator.last_run_switches
-    assert switches[0].step == 0
-    assert all(isinstance(event, SwitchEvent) for event in switches)
-    assert all(b.step > a.step for a, b in zip(switches, switches[1:]))
-    assert all(b.backend != a.backend for a, b in zip(switches, switches[1:]))
-
-
-def test_adaptive_engine_promotes_under_a_dense_schedule():
-    pytest.importorskip("numpy")
-    protocol = SSME(ring_graph(24))
-    initial = protocol.random_configuration(random.Random(0))
-    simulator, _ = _run(protocol, "sd", "adaptive", "light", initial, 96, 0)
-    backends = [event.backend for event in simulator.last_run_switches]
-    assert backends[0] == "dict"
-    assert backends[-1] == "vector-superstep"  # sd densities promote
-    assert simulator.last_run_backend == "vector-superstep"
-
-
-def test_adaptive_engine_switches_back_and_forth_under_regime_switching():
-    pytest.importorskip("numpy")
-    protocol = SSME(ring_graph(24))
-    initial = protocol.random_configuration(random.Random(0))
-    simulator, _ = _run(protocol, "regime-switch", "adaptive", "light", initial, 288, 0)
-    backends = [event.backend for event in simulator.last_run_switches]
-    assert backends[0] == "dict"
-    assert "vector" in backends  # promoted during a dense phase
-    assert len(backends) >= 3  # ... and demoted again
-
-
-def test_adaptive_engine_stays_dict_under_a_sparse_schedule():
-    protocol = SSME(ring_graph(16))
-    initial = protocol.random_configuration(random.Random(0))
-    simulator, _ = _run(protocol, "cd", "adaptive", "light", initial, 120, 0)
-    assert simulator.last_run_switches == (SwitchEvent(0, "dict"),)
-    assert simulator.last_run_backend == "dict"
-
-
-def test_adaptive_engine_degrades_to_one_dict_segment_without_numpy(monkeypatch):
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    assert not numpy_available()
-    protocol = SSME(ring_graph(12))
-    initial = protocol.random_configuration(random.Random(2))
-    _, reference = _run(protocol, "sd", "incremental", "full", initial, 60, 5)
-    simulator, adaptive = _run(protocol, "sd", "adaptive", "full", initial, 60, 5)
-    assert simulator.last_run_backend == "dict"
-    assert simulator.last_run_switches == (SwitchEvent(0, "dict"),)
-    assert list(adaptive.configurations) == list(reference.configurations)
-
-
-def test_adaptive_engine_stop_when_sees_a_gapless_global_stream():
-    protocol = SSME(ring_graph(16))
-    initial = protocol.random_configuration(random.Random(3))
-    observed = []
-
-    def stop_when(configuration, index):
-        observed.append(index)
-        return index == 70
-
-    simulator = Simulator(
-        protocol,
-        RegimeSwitchingDaemon(24, 48),
-        rng=random.Random(7),
-        engine="adaptive",
-        trace="light",
-    )
-    execution = simulator.run(initial, max_steps=288, stop_when=stop_when)
-    # Exactly once per global index, in order, stopping where asked —
-    # segment boundaries must neither skip nor re-present an index.
-    assert observed == list(range(71))
-    assert execution.steps == 70
-    assert execution.truncated
+    # Scheduling memory survives segment boundaries: reset stays local.
+    probe.reset()
+    assert inner.cursor == 5
 
 
 # --------------------------------------------------------------------- #

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from repro.core.simulator import ENGINES
 from repro.experiments.__main__ import main
 
 
@@ -84,3 +87,19 @@ class TestJobsCli:
     def test_unknown_action_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["jobs", "frobnicate"])
+
+
+class TestScenariosCli:
+    def test_engine_choices_are_the_simulator_engines(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenarios", "run", "--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out
+        choices = re.search(r"--engine \{([^}]*)\}", usage).group(1)
+        assert tuple(choices.split(",")) == ENGINES
+
+    def test_adaptive_engine_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenarios", "run", "smoke-ssme-ring8-periodic", "--engine", "adaptive"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'adaptive'" in capsys.readouterr().err

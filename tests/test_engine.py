@@ -268,8 +268,9 @@ class TestTraceModes:
 class TestEngineSelection:
     def test_unknown_engine_rejected(self):
         protocol = TokenPassing(path_graph(3))
-        with pytest.raises(SimulationError):
-            Simulator(protocol, SynchronousDaemon(), engine="warp")
+        for engine in ("warp", "adaptive"):
+            with pytest.raises(SimulationError, match="unknown engine"):
+                Simulator(protocol, SynchronousDaemon(), engine=engine)
 
     def test_unknown_trace_rejected(self):
         protocol = TokenPassing(path_graph(3))

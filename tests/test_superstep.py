@@ -721,31 +721,6 @@ def test_lazy_enabled_sets_prefix_suffix_and_rounds_match_eager(protocol_name, t
             assert view.count_rounds() == reference.count_rounds()
 
 
-@pytest.mark.parametrize("trace", ["full", "light"])
-def test_adaptive_stitching_reads_the_lazy_log(trace):
-    """An adaptive run promoted onto the superstep backend stitches the
-    segment's lazy log into the same sets the incremental engine records."""
-    protocol = SSME(ring_graph(24))
-    initial = protocol.random_configuration(random.Random(0))
-    runs = {}
-    for engine in ("incremental", "adaptive"):
-        simulator = Simulator(
-            protocol, SynchronousDaemon(), rng=random.Random(0),
-            engine=engine, trace=trace,
-        )
-        runs[engine] = simulator.run(initial, max_steps=96)
-    assert simulator.last_run_switches[-1].backend == "vector-superstep"
-    adaptive, reference = runs["adaptive"], runs["incremental"]
-    assert _recorded_enabled(adaptive) == _recorded_enabled(reference)
-    assert [adaptive.selection(i) for i in range(adaptive.steps)] == [
-        reference.selection(i) for i in range(reference.steps)
-    ]
-    assert adaptive.count_rounds() == reference.count_rounds()
-    assert _recorded_enabled(adaptive.prefix(50)) == _recorded_enabled(
-        reference.prefix(50)
-    )
-
-
 class _CountingBuild:
     """Counts ``LazyEnabledSets`` frozenset builds across all instances."""
 
