@@ -26,11 +26,13 @@ from hypothesis import strategies as st
 from repro.adaptive import AdaptiveProtocol, RegimeDetector
 from repro.adaptive.protocol import _ProbeDaemon
 from repro.core import (
+    DAEMON_FACTORIES,
     Daemon,
     RegimeSwitchingDaemon,
     SynchronousDaemon,
     make_daemon,
 )
+from repro.core.simulator import ENGINES
 from repro.exceptions import DaemonError, SimulationError
 from repro.graphs import ring_graph
 from repro.mutex import SSME
@@ -225,6 +227,36 @@ def test_probe_daemon_forwards_global_indices_and_feeds_the_detector():
     assert inner.cursor == 5
 
 
+@pytest.mark.parametrize("name", sorted(DAEMON_FACTORIES))
+def test_probe_daemon_is_transparent_for_every_registered_daemon(name):
+    """Through the probe, a registered daemon schedules exactly as it does
+    alone at the shifted global indices, stateful daemons included."""
+    protocol = SSME(ring_graph(8))
+    direct = make_daemon(name)
+    direct.bind(protocol)
+    inner = make_daemon(name)
+    detector = RegimeDetector(protocol.graph.n)
+    probe = _ProbeDaemon(inner, detector)
+    probe.bind(protocol)
+    assert (probe.dense, probe.synchronous, probe.density) == (
+        direct.dense,
+        direct.synchronous,
+        direct.density,
+    )
+
+    configurations = [
+        protocol.random_configuration(random.Random(seed)) for seed in range(12)
+    ]
+    direct_rng, probe_rng = random.Random(3), random.Random(3)
+    probe.offset = 70
+    for local_index, configuration in enumerate(configurations):
+        enabled = protocol.enabled_vertices(configuration)
+        expected = direct.select(enabled, configuration, 70 + local_index, direct_rng)
+        assert probe.select(enabled, configuration, local_index, probe_rng) == expected
+        assert probe.admits_selection(enabled, expected)
+    assert detector.observations == len(configurations)
+
+
 # --------------------------------------------------------------------- #
 # Adaptive protocol
 # --------------------------------------------------------------------- #
@@ -260,6 +292,30 @@ def test_adaptive_protocol_switches_rule_sets_and_still_stabilizes():
     assert len(modes) >= 2  # the sparse phases demote to conservative
     assert run.safety_index <= run.stabilization_index <= run.steps + 1
     assert run.moves > 0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "daemon_factory",
+    [SynchronousDaemon, lambda: RegimeSwitchingDaemon(24, 48)],
+    ids=["sd", "regime-switch"],
+)
+def test_adaptive_protocol_run_is_the_same_on_every_engine(daemon_factory, engine):
+    """Rule-set switching is decided on the run's own trace, so every
+    backend yields the reference engine's run record."""
+    adaptive = AdaptiveProtocol(ring_graph(8), dwell=8)
+    initial = adaptive.speculative.random_configuration(random.Random(5))
+
+    def run(engine_name):
+        return adaptive.run(
+            initial,
+            daemon_factory(),
+            max_steps=240,
+            rng=random.Random(6),
+            engine=engine_name,
+        )
+
+    assert run(engine) == run("reference")
 
 
 def test_adaptive_protocol_default_rule_sets_share_a_state_space():

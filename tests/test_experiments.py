@@ -14,6 +14,7 @@ from repro.exceptions import ExperimentError
 from repro.experiments import (
     EXPERIMENT_DRIVERS,
     ExperimentReport,
+    adaptive_speculation,
     dijkstra_comparison,
     figure1_clock,
     mutex_workload,
@@ -215,3 +216,46 @@ class TestReporting:
         assert rebuilt.to_dict() == report.to_dict()
         with pytest.raises(ExperimentError):
             ExperimentReport.from_dict({"title": "no id"})
+
+
+#: E10 row specs as (kind, ring size, seeds, spec key).  The keys address
+#: cached results, so a change that moves them must bump the experiment's
+#: ``CODE_VERSION``; the seeds start after the four draws of rows E10 no
+#: longer emits.
+E10_ROW_SPECS = [
+    ("protocol-gap", 4, (4029557120079369747,),
+     "cad8baae8800b9c715327a436c92e0bea1f359409d134705f15642047b1ecdfd"),
+    ("protocol-gap", 5, (2569146471088859254,),
+     "72428160650932972c8d7874b5966329c4cbeab6dd88c2e81f9d07ab2b2cc603"),
+    ("protocol-gap", 6, (2577854692418029171,),
+     "5433b408cdf67ffac925fec1384e34b1bc2770b1c0cd8ad6def0108a47d2cddf"),
+    ("protocol-gap", 7, (1749318759610081913,),
+     "e70457eda525d774e778fdde9d78ce21b16fab097f777ab5293b45c6f36d3cf5"),
+    ("protocol-gap", 8, (2710959347947821323,),
+     "765b6e64410a3e4463a3c9ded96c3b368d5b8d2527405a4f291703889a3b3b9e"),
+    ("protocol-switching", 8, (1821862095355237593, 1360307757430227195),
+     "a9fb1577149c8a214d9cc8cd47c7c92d8383e0fb8d46ffc6846a8865fac02997"),
+    ("protocol-switching", 12, (6091063652223914538, 6526298081964035572),
+     "2ac80f1df5b7af8cee5018b1401630f92024551b1b099cab955c42b29eafa1a4"),
+]
+
+
+class TestAdaptiveSpeculationJobs:
+    def test_rows_are_emitted_in_order(self):
+        infos, specs = adaptive_speculation.emit_jobs()
+        assert [(info["kind"], info["n"]) for info in infos] == [
+            (kind, n) for kind, n, _, _ in E10_ROW_SPECS
+        ]
+        assert len(specs) == len(infos)
+
+    @pytest.mark.parametrize(
+        "row",
+        range(len(E10_ROW_SPECS)),
+        ids=[f"{kind}-ring{n}" for kind, n, _, _ in E10_ROW_SPECS],
+    )
+    def test_row_seeds_and_spec_keys_are_stable(self, row):
+        kind, n, seeds, key = E10_ROW_SPECS[row]
+        spec = adaptive_speculation.emit_jobs()[1][row]
+        assert (spec.param("kind"), spec.graph_item("n")) == (kind, n)
+        assert spec.seeds == seeds
+        assert spec.spec_key == key
