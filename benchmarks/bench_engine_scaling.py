@@ -72,7 +72,6 @@ from repro.core import (
     DistributedDaemon,
     Simulator,
     SynchronousDaemon,
-    numpy_available,
 )
 from repro.graphs import ring_graph
 from repro.unison import AsynchronousUnison
@@ -208,12 +207,8 @@ def run_benchmark(
     repeats: int = 3,
 ) -> Dict[str, object]:
     """Run the full sweep and return the JSON-ready summary."""
-    have_numpy = numpy_available()
-    engine_modes: Tuple[Tuple[str, str], ...] = tuple(
-        (engine, trace)
-        for engine, trace in ENGINE_MODES
-        if have_numpy or engine != "vector"
-    )
+    import numpy
+
     rows: List[Dict[str, object]] = []
 
     def measure_into_rows(protocol, daemon_name, engine, trace, steps, initial_kind="random"):
@@ -239,8 +234,8 @@ def run_benchmark(
         # validation is skipped because it does not scale to the n>=3200 rows.
         protocol = AsynchronousUnison(ring_graph(n), validate_parameters=False)
         for daemon_name in daemons:
-            modes = engine_modes
-            if daemon_name == "sd" and have_numpy:
+            modes = ENGINE_MODES
+            if daemon_name == "sd":
                 modes = modes + SD_ENGINE_MODES
             for engine, trace in modes:
                 measure_into_rows(protocol, daemon_name, engine, trace, _steps_for(n))
@@ -264,8 +259,6 @@ def run_benchmark(
             # headline_sd_superstep (a few seconds of full rescans).
             modes = (("reference", "full"),) + modes
         for engine, trace in modes:
-            if engine.startswith("vector") and not have_numpy:
-                continue
             measure_into_rows(
                 protocol, "sd", engine, trace, _steps_for(n), initial_kind="legitimate"
             )
@@ -274,8 +267,6 @@ def run_benchmark(
     # one (n,)-state array per step, which at these sizes is the very cost
     # the checkpoint-and-replay design exists to avoid.
     for n in huge_sizes:
-        if not have_numpy:
-            break
         protocol = AsynchronousUnison(ring_graph(n), validate_parameters=False)
         if n <= min(huge_sizes):
             # Single-step comparison point (~20s per 120-step run at 1e5).
@@ -308,8 +299,8 @@ def run_benchmark(
             base = throughput(n, daemon_name, "reference", "full")
             if not base:
                 continue
-            modes = tuple(engine_modes[1:])
-            if daemon_name == "sd" and have_numpy:
+            modes = tuple(ENGINE_MODES[1:])
+            if daemon_name == "sd":
                 modes = modes + SD_ENGINE_MODES
             for engine, trace in modes:
                 new = throughput(n, daemon_name, engine, trace)
@@ -347,9 +338,7 @@ def run_benchmark(
     # it degrades to the largest measured size so CI still gets a signal.
     vector_n = 800 if 800 in sizes else max(sizes)
     headline_sd_vector = (
-        make_headline("sd", "vector", vector_n, 15.0)
-        if have_numpy and "sd" in daemons
-        else {}
+        make_headline("sd", "vector", vector_n, 15.0) if "sd" in daemons else {}
     )
     if headline_sd_vector and vector_n != 800:
         # Quick-mode fallback size: the 15x acceptance target was set at
@@ -364,7 +353,7 @@ def run_benchmark(
     )
     headline_sd_superstep = (
         make_headline("sd", "vector-superstep", superstep_n, 50.0)
-        if have_numpy and "sd" in daemons
+        if "sd" in daemons
         else {}
     )
     if headline_sd_superstep and superstep_n != SUPERSTEP_HEADLINE_N:
@@ -378,7 +367,7 @@ def run_benchmark(
         "topology": "ring",
         "protocol": "AsynchronousUnison",
         "python": platform.python_version(),
-        "numpy": have_numpy,
+        "numpy": numpy.__version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "rows": rows,
         "speedups": speedups,

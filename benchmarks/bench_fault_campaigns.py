@@ -9,8 +9,8 @@ Usage::
 Unlike the engine-scaling benchmark, everything written to the JSON here is
 **deterministic**: availability, recovery times and unsafe-window lengths
 are pure functions of each scenario's pinned seed, identical across
-machines, Python versions, engine backends and NumPy presence (the
-engine-equivalence suite pins that).  CI therefore recomputes the
+machines, Python versions and engine backends (the engine-equivalence
+suite pins that).  CI therefore recomputes the
 smoke-tier headlines and compares them *exactly* against the committed
 ``BENCH_faults.json`` — report-only, so an intentional semantic change
 shows up as a warning until the file is regenerated.  Wall-clock timing is

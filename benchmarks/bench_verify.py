@@ -13,10 +13,9 @@ Three sections are written to the JSON:
   Every value is engine-independent by construction: the batched array
   engine and the pure-Python dict engine are bit-identical, and the
   symmetry quotient preserves every per-configuration value.  CI
-  recomputes this section under ``engine="auto"`` — which resolves to the
-  batched engine when NumPy is importable and the dict engine when it is
-  not — and compares it *exactly* against the committed file, in both the
-  NumPy and the no-NumPy job (report-only).
+  recomputes this section under ``engine="auto"`` (the batched engine on
+  every instance here) and compares it *exactly* against the committed
+  file (report-only).
 * ``throughput`` — wall-clock comparisons of the dict and batched engines
   on the same instances, including the headline speedup row (Dijkstra
   ring(8), full 390k-state product, synchronous class; target >= 20x on
@@ -74,8 +73,8 @@ def _result_facts(result) -> Dict[str, object]:
 def deterministic_headline() -> Dict[str, Dict[str, object]]:
     """The engine-independent certification facts CI compares exactly.
 
-    Cheap enough for the pure-Python dict engine (the no-NumPy CI job):
-    every row solves in a few seconds without NumPy.
+    Cheap enough for CI: every row solves in a few seconds, even on the
+    pure-Python dict engine.
     """
     rows: Dict[str, Dict[str, object]] = {}
 
@@ -113,7 +112,7 @@ def deterministic_headline() -> Dict[str, Dict[str, object]]:
 
 
 def throughput_rows() -> Dict[str, Dict[str, object]]:
-    """Dict-vs-batched wall clock on identical instances (NumPy required)."""
+    """Dict-vs-batched wall clock on identical instances."""
     from repro.verify import (
         BatchedTransitionSystem,
         TransitionSystem,

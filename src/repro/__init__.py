@@ -42,6 +42,19 @@ Quickstart
 20
 """
 
+import importlib.util
+
+# NumPy is a required dependency (see pyproject.toml) but is imported lazily,
+# by the array kernels and the batched checker, so ``import repro`` stays
+# cheap.  Locate it without importing it, so a missing install fails here
+# rather than deep inside a sweep.
+if importlib.util.find_spec("numpy") is None:
+    raise ImportError(
+        "repro requires the 'numpy' package, which is not installed; "
+        "install the dependencies declared in pyproject.toml "
+        "(pip install -e .)"
+    )
+
 from .clocks import BoundedClock
 from .core import (
     AdversarialCentralDaemon,

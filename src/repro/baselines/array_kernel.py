@@ -24,8 +24,8 @@ equivalence with the Python rules is pinned by
 equivalence suite.
 
 This module imports NumPy at load time and is therefore only imported
-from the protocols' ``array_kernel()``/``array_codec()`` hooks after a
-``numpy_available`` check.
+from the protocols' ``array_kernel()``/``array_codec()`` hooks, so that
+``import repro`` does not import NumPy.
 """
 
 from __future__ import annotations

@@ -110,18 +110,12 @@ class BfsSpanningTree(Protocol):
     # ------------------------------------------------------------------ #
     def array_codec(self):
         """Levels are plain ints — the trivial width-1 codec."""
-        from ..core.vector import IntCodec, numpy_available
+        from ..core.vector import IntCodec
 
-        if not numpy_available():
-            return None
         return IntCodec()
 
     def array_kernel(self):
         """The vectorized R0/M1 kernel."""
-        from ..core.vector import numpy_available
-
-        if not numpy_available():
-            return None
         from .array_kernel import BfsTreeArrayKernel
 
         return BfsTreeArrayKernel(self)

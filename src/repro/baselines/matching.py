@@ -205,20 +205,12 @@ class MaximalMatching(Protocol):
     # ------------------------------------------------------------------ #
     def array_codec(self):
         """The width-2 (pointer rank, married bit) codec."""
-        from ..core.vector import numpy_available
-
-        if not numpy_available():
-            return None
         from .array_kernel import MatchingCodec
 
         return MatchingCodec(self)
 
     def array_kernel(self):
         """The vectorized Update/Marriage/Seduction/Abandonment kernel."""
-        from ..core.vector import numpy_available
-
-        if not numpy_available():
-            return None
         from .array_kernel import MatchingArrayKernel
 
         return MatchingArrayKernel(self)

@@ -109,11 +109,10 @@ class IncrementalEngine:
     **array-state backend** that replaces the whole per-step scan of the
     dense (batch) regime with a handful of array operations.  ``run``'s
     ``backend`` parameter picks between them — ``"auto"`` (default) uses
-    the vector backend exactly when the protocol declares one, NumPy is
-    importable and the daemon advertises dense selections
-    (:attr:`Daemon.dense`); ``"vector"`` requests it for any daemon; both
-    degrade gracefully to the dict paths when the capability is missing,
-    so NumPy stays an optional dependency.
+    the vector backend exactly when the protocol declares one and the
+    daemon advertises dense selections (:attr:`Daemon.dense`);
+    ``"vector"`` requests it for any daemon; both degrade gracefully to the
+    dict paths when the capability is missing.
     """
 
     __slots__ = (
@@ -148,11 +147,10 @@ class IncrementalEngine:
     def _vector_engine(self):
         """The cached array-state backend, or None when unavailable.
 
-        Probed lazily (and re-probed while unavailable, so an environment
-        that gains NumPy mid-process is picked up; a cached engine is never
-        dropped — the capability cannot un-declare itself).  The probed
-        codec/kernel objects are handed straight to the engine, so the
-        capability is instantiated exactly once.
+        Probed lazily on first use, so building an engine never imports
+        NumPy; a declining protocol is re-probed on the next call.  The
+        probed codec/kernel objects are handed straight to the engine, so
+        the capability is instantiated exactly once.
         """
         if self._vector is None:
             from .vector import VectorEngine, vector_eligible
@@ -198,7 +196,7 @@ class IncrementalEngine:
         array backend for daemons :func:`prefers_array_backend` approves
         when the protocol declares one, upgrading to supersteps for
         synchronous daemons.  Requests the capability cannot honour (no
-        kernel, no NumPy, states outside the codec's layout, supersteps
+        kernel, states outside the codec's layout, supersteps
         under a non-synchronous daemon) fall back to the next backend down —
         never an error.
         """

@@ -206,8 +206,7 @@ class Protocol(ABC):
         integers may return a codec here (together with
         :meth:`array_kernel`) to unlock the NumPy-vectorized engine backend
         for the dense-daemon regime.  The default — no capability — keeps
-        the protocol on the dict-based engines; NumPy remains an optional
-        dependency either way.
+        the protocol on the dict-based engines.
         """
         return None
 
@@ -217,10 +216,9 @@ class Protocol(ABC):
         Must encode *exactly* the stock transition semantics over the
         :meth:`array_codec` representation (first-enabled-rule arbitration
         included); see :func:`repro.core.vector.protocol_supports_vector`
-        for the full eligibility contract.  Implementations may assume
-        NumPy is importable — the capability is only queried after that
-        check — but must return None themselves when it is not, so direct
-        callers degrade cleanly too.
+        for the full eligibility contract.  Implementations import their
+        NumPy kernel module inside the method, never at module load, so
+        ``import repro`` does not import NumPy.
         """
         return None
 

@@ -81,9 +81,9 @@ class Simulator:
     engine:
         ``"auto"`` (default) picks the fastest sound backend for the
         (protocol, daemon) pair: the NumPy-vectorized array-state kernel
-        (:mod:`repro.core.vector`) when the protocol declares one, NumPy is
-        importable and the daemon makes dense (or known mid-density)
-        selections (:func:`~repro.core.engine.prefers_array_backend`) —
+        (:mod:`repro.core.vector`) when the protocol declares one and the
+        daemon makes dense (or known mid-density) selections
+        (:func:`~repro.core.engine.prefers_array_backend`) —
         upgraded to the batched superstep loop
         (:meth:`~repro.core.vector.VectorEngine.run_supersteps`) when the
         daemon is synchronous (:attr:`Daemon.synchronous`); the dirty-set
@@ -93,9 +93,9 @@ class Simulator:
         daemon; ``"vector-superstep"`` requests the batched kernel loop
         (degrading to ``"vector"`` under a non-synchronous daemon, whose
         per-step selections supersteps cannot honour).  Both array requests
-        fall back to ``"incremental"`` when the capability is unavailable —
-        NumPy stays optional.  ``"reference"`` runs the naive full-rescan
-        semantics and serves as the correctness oracle.  Protocols that
+        fall back to ``"incremental"`` when the capability is unavailable.
+        ``"reference"`` runs the naive full-rescan semantics and serves as
+        the correctness oracle.  Protocols that
         override the base-class transition methods automatically fall back
         to the reference engine.  The resolved choice is reported by
         :attr:`engine`; any other name raises :class:`SimulationError`.
@@ -147,7 +147,7 @@ class Simulator:
         # keyword and their enabledness chain must be honoured).
         self._prepared_ok = protocol_supports_incremental(protocol)
         # Backend resolution (graceful, never an error): the array-state
-        # kernel needs the protocol capability *and* NumPy; "auto"
+        # kernel needs the protocol capability; "auto"
         # additionally requires the daemon to make dense selections — the
         # regime where whole-array steps beat the dirty-set paths.  The
         # probe constructs the incremental engine (which runs would build

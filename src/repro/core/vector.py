@@ -30,11 +30,11 @@ Protocols opt in through the capability API
 :meth:`repro.core.Protocol.array_codec` / :meth:`~repro.core.Protocol.array_kernel`
 (both return None by default).  Backend selection is automatic and degrades
 gracefully: the vector backend is used only when the protocol declares a
-kernel, NumPy is importable (it stays an **optional** dependency — nothing
-in this module imports it at module load), and the engine semantics the
-kernel encodes (stock transition chain, stock ``choose_rule``, actions that
-preserve state validity) actually hold; otherwise the existing sparse/batch
-dict paths run unchanged.
+kernel and the engine semantics the kernel encodes (stock transition chain,
+stock ``choose_rule``, actions that preserve state validity) actually hold;
+otherwise the existing sparse/batch dict paths run unchanged.  NumPy is a
+required dependency, imported lazily: nothing in this module imports it at
+module load, so ``import repro`` stays cheap.
 
 Equivalence with the reference engine (same configurations, selections,
 enabled sets, activation records, truncation) is pinned by
@@ -75,7 +75,6 @@ __all__ = [
     "IntTupleCodec",
     "TiledGraphIndex",
     "VectorEngine",
-    "numpy_available",
     "protocol_supports_vector",
     "tile_block_positions",
     "tile_block_values",
@@ -83,28 +82,11 @@ __all__ = [
 ]
 
 
-def numpy_available() -> bool:
-    """Whether NumPy can be imported *right now*.
-
-    Evaluated dynamically on every call (a successful import of an
-    already-loaded module is a dict lookup) so test harnesses can prove the
-    graceful degradation path by stubbing ``sys.modules["numpy"]``.
-    """
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def vector_eligible(protocol: Protocol) -> bool:
     """The cheap (non-instantiating) half of the vector-backend contract.
 
-    True when the *semantics* the kernel encodes hold and NumPy is
-    importable:
+    True when the *semantics* the kernel encodes hold:
 
-    * NumPy importable (optional dependency — this is checked first so
-      capability hooks may assume it when called);
     * the stock transition semantics (same precondition as the incremental
       engine — the kernel replaces the whole guard/firing chain);
     * the stock ``choose_rule`` (the kernel hard-codes the
@@ -117,8 +99,6 @@ def vector_eligible(protocol: Protocol) -> bool:
     callers that need the codec/kernel probe them directly afterwards (so
     the objects are built once and used, never built-and-discarded).
     """
-    if not numpy_available():
-        return False
     if not protocol.has_stock_transitions():
         return False
     if type(protocol).choose_rule is not Protocol.choose_rule:

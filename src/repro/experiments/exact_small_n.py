@@ -433,11 +433,11 @@ def run_experiment(
 ) -> ExperimentReport:
     """Cross-validate the sampled theorem sweeps against exact values.
 
-    Pure-Python end to end (NumPy stays optional; with it present the
-    checker picks the batched array engine automatically); the default
-    sweep solves every instance in a few seconds — the synchronous rows
-    stay cheap out to ring(14) because the theorem2 workload region closes
-    in a few hundred states.  The heavyweight frontier rows (exact
+    The checker picks the batched array engine automatically wherever the
+    protocol declares the array capabilities; the default sweep solves
+    every instance in a few seconds — the synchronous rows stay cheap out
+    to ring(14) because the theorem2 workload region closes in a few
+    hundred states.  The heavyweight frontier rows (exact
     speculation gaps on rings n >= 10, millions of central-class states)
     live in ``benchmarks/bench_verify.py``, not in these defaults.  Rows
     are emitted as

@@ -16,7 +16,8 @@ replicated with per-block offsets and the scalar bottom row becomes a
 boolean mask with one bottom machine per block.
 
 This module imports NumPy at load time and is therefore only imported from
-:meth:`DijkstraTokenRing.array_kernel` after a ``numpy_available`` check.
+:meth:`DijkstraTokenRing.array_kernel`, so that ``import repro`` does not
+import NumPy.
 """
 
 from __future__ import annotations

@@ -163,18 +163,12 @@ class DijkstraTokenRing(Protocol, PrivilegeAware):
 
     def array_codec(self):
         """States are plain counter ints — the trivial width-1 codec."""
-        from ..core.vector import IntCodec, numpy_available
+        from ..core.vector import IntCodec
 
-        if not numpy_available():
-            return None
         return IntCodec()
 
     def array_kernel(self):
         """The vectorized predecessor-comparison kernel."""
-        from ..core.vector import numpy_available
-
-        if not numpy_available():
-            return None
         from .array_kernel import DijkstraArrayKernel
 
         return DijkstraArrayKernel(self)

@@ -155,7 +155,7 @@ def _register(*scenarios: Scenario) -> Dict[str, Scenario]:
 
 
 #: The named campaign workloads.  Smoke-tier scenarios are deliberately
-#: tiny: CI runs them end-to-end (with and without NumPy) and the
+#: tiny: CI runs them end-to-end and the
 #: acceptance tests replay each on every engine backend.
 SCENARIOS: Dict[str, Scenario] = _register(
     # ---------------------------------------------------------------- smoke

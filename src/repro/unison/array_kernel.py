@@ -10,7 +10,8 @@ equivalence suite).  SSME inherits the capability unchanged: its rules are
 exactly the unison's, parameterized by its own clock.
 
 This module imports NumPy at load time and is therefore only imported from
-:meth:`AsynchronousUnison.array_kernel` after a ``numpy_available`` check.
+:meth:`AsynchronousUnison.array_kernel`, so that ``import repro`` does not
+import NumPy.
 """
 
 from __future__ import annotations

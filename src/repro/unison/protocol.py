@@ -239,18 +239,12 @@ class AsynchronousUnison(Protocol):
 
     def array_codec(self):
         """States are plain clock ints — the trivial width-1 codec."""
-        from ..core.vector import IntCodec, numpy_available
+        from ..core.vector import IntCodec
 
-        if not numpy_available():
-            return None
         return IntCodec()
 
     def array_kernel(self):
         """The vectorized NA/CA/RA kernel (SSME inherits it unchanged)."""
-        from ..core.vector import numpy_available
-
-        if not numpy_available():
-            return None
         from .array_kernel import UnisonArrayKernel
 
         return UnisonArrayKernel(self)

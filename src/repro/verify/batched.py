@@ -34,9 +34,9 @@ Exactness is preserved end to end: the kernels are pinned to the stock
 engine semantics by the engine equivalence suites, the expansion replicates
 the dict path's selection enumeration and per-state successor dedup order,
 and the equivalence tests assert bit-identical systems and values on every
-instance the dict path can also afford.  The dict path stays the oracle —
-NumPy remains an optional dependency and
-:func:`~repro.verify.verify_stabilization` falls back to it automatically.
+instance the dict path can also afford.  The dict path stays the oracle,
+and :func:`~repro.verify.verify_stabilization` falls back to it
+automatically for protocols the batched engine cannot run.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from ..core.vector import (
     ArrayKernel,
     GraphIndex,
     TiledGraphIndex,
-    numpy_available,
     vector_eligible,
 )
 from ..exceptions import VerificationError
@@ -117,8 +116,6 @@ class ArrayPacker:
     )
 
     def __init__(self, space: StateSpace, codec: ArrayCodec) -> None:
-        if not numpy_available():
-            raise VerificationError("the batched checker requires NumPy")
         import numpy as np
 
         self._space = space
@@ -306,8 +303,8 @@ class ArrayPacker:
 def batched_supported(protocol: Protocol, specification: Specification) -> bool:
     """Whether the batched engine can run this instance at all.
 
-    NumPy importable, kernel semantics valid (:func:`vector_eligible`), and
-    both capability objects declared.  Construction of the packer (and its
+    Kernel semantics valid (:func:`vector_eligible`) and both capability
+    objects declared.  Construction of the packer (and its
     codec validation) happens inside :class:`BatchedTransitionSystem`; this
     is the cheap pre-probe ``engine="auto"`` uses.
     """
@@ -491,10 +488,6 @@ class BatchedTransitionSystem:
         if daemon_class not in DAEMON_CLASSES:
             raise VerificationError(
                 f"unknown daemon class {daemon_class!r}; known: {', '.join(DAEMON_CLASSES)}"
-            )
-        if not numpy_available():
-            raise VerificationError(
-                "the batched checker requires NumPy; use the dict engine"
             )
         if not vector_eligible(protocol):
             raise VerificationError(

@@ -358,9 +358,9 @@ def verify_stabilization(
     ``engine`` selects the exploration backend: ``"dict"`` is the
     pure-Python reference path, ``"batched"`` the NumPy-vectorized one
     (:mod:`repro.verify.batched`), and ``"auto"`` (default) picks batched
-    whenever the protocol declares the array capabilities and NumPy is
-    importable — both engines produce bit-identical results by design, so
-    the choice is purely a matter of speed.
+    whenever the protocol declares the array capabilities — both engines
+    produce bit-identical results by design, so the choice is purely a
+    matter of speed.
 
     ``symmetry`` opts into the automorphism quotient
     (:mod:`repro.verify.symmetry`): ``False`` (default) explores concrete

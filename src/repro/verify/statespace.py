@@ -10,14 +10,13 @@ the indices are combined positionally (``key = Σ index_i · multiplier_i``).
 Keys are exact, total over the product space, hashable, compact, and cheap
 to compare — the properties every explicit-state set/queue below needs.
 
-When NumPy and the protocol's array codec (:meth:`~repro.core.Protocol.
-array_codec`, the PR 3 machinery) are available and every domain is a
-contiguous integer range, bulk packing goes through the codec: a batch of
-configurations becomes one ``(m, n·width)`` int64 array and one matrix
-product with the multiplier vector.  A pure-Python per-vertex path computes
-the identical keys without NumPy (it stays an optional dependency), and is
-also the single-configuration fast path — for one configuration a dict
-lookup per vertex beats building an array.
+When the protocol declares an array codec (:meth:`~repro.core.Protocol.
+array_codec`) and every domain is a contiguous integer range, bulk packing
+goes through the codec: a batch of configurations becomes one
+``(m, n·width)`` int64 array and one matrix product with the multiplier
+vector.  A pure-Python per-vertex path computes the identical keys for
+every other protocol, and is also the small-batch fast path — for a few
+configurations a dict lookup per vertex beats building an array.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.protocol import Protocol
 from ..core.state import Configuration
-from ..core.vector import numpy_available
 from ..exceptions import VerificationError
 from ..types import VertexId, VertexStateLike
 
@@ -199,13 +197,12 @@ class StateSpace:
     ) -> List[int]:
         """The keys of a batch of configurations.
 
-        Routes through the protocol's array codec when NumPy is importable,
-        the protocol declares one, and every domain is a contiguous integer
-        range — one ``(m, n·width)`` encode plus a matrix product instead of
+        Routes through the protocol's array codec when the protocol
+        declares a width-1 one and every domain is a contiguous integer
+        range — one ``(m, n)`` encode plus a matrix product instead of
         ``m·n`` dict lookups.  Falls back to per-configuration
-        :meth:`encode` (identical keys) otherwise — including for small
-        batches, where the per-vertex loop beats the array setup cost —
-        so NumPy stays optional.
+        :meth:`encode` (identical keys) otherwise — including for batches
+        under 8, where the per-vertex loop beats the array setup cost.
         """
         if len(configurations) >= 8 and all(lo is not None for lo in self._int_ranges):
             keys = self._encode_many_codec(configurations)
@@ -216,8 +213,6 @@ class StateSpace:
     def _encode_many_codec(
         self, configurations: Sequence[Mapping[VertexId, VertexStateLike]]
     ) -> Optional[List[int]]:
-        if not numpy_available():
-            return None
         codec = self._protocol.array_codec()
         if codec is None or codec.width != 1:
             # Width-1 codecs (IntCodec) line up one column per vertex with

@@ -37,7 +37,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.protocol import Protocol
 from ..core.specification import Specification
-from ..core.vector import numpy_available
 from ..exceptions import VerificationError
 from ..graphs import Graph
 from ..types import VertexId
@@ -181,7 +180,7 @@ class SymmetryReducer:
         return reducer
 
     # ------------------------------------------------------------------ #
-    # Canonicalization (pure Python — NumPy stays optional)
+    # Canonicalization (pure Python — the dict checker's path)
     # ------------------------------------------------------------------ #
     def _indices_of_key(self, key: int) -> List[int]:
         indices: List[int] = []
@@ -222,8 +221,6 @@ class SymmetryReducer:
     # ------------------------------------------------------------------ #
     def permutation_matrix(self):
         """The ``(|G|, n)`` int64 permutation matrix for array gathers."""
-        if not numpy_available():  # pragma: no cover - callers gate on numpy
-            raise VerificationError("array canonicalization requires NumPy")
         import numpy as np
 
         return np.asarray(self._perms, dtype=np.int64)

@@ -10,9 +10,6 @@ Three contracts are pinned here:
   scheduling memory across segments;
 * :class:`AdaptiveProtocol` stabilizes across rule-set switches and
   reports a deterministic, internally consistent run record.
-
-The whole module runs with and without NumPy installed (the no-NumPy CI
-job runs it too).
 """
 
 from __future__ import annotations

@@ -6,13 +6,12 @@ included), same safety labels, same game values, same lassos-that-replay.
 These tests pin that contract on every daemon class over full products,
 seeded regions, diverging instances and every protocol family with an
 array codec — plus the engine dispatch (``engine="auto"|"dict"|"batched"``)
-and the graceful no-NumPy degradation.
+and the graceful degradation for protocols the batched engine cannot run.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 
@@ -27,17 +26,15 @@ from repro.graphs import path_graph, ring_graph
 from repro.mutex import SSME, DijkstraTokenRing, MutualExclusionSpec
 from repro.unison import AsynchronousUnison, AsynchronousUnisonSpec
 from repro.verify import (
+    BatchedTransitionSystem,
     StateSpace,
     TransitionSystem,
     batched_supported,
     solve,
+    solve_arrays,
     verify_stabilization,
 )
-
-np = pytest.importorskip("numpy")
-
-from repro.verify import BatchedTransitionSystem, solve_arrays  # noqa: E402
-from repro.verify.batched import ArrayPacker  # noqa: E402
+from repro.verify.batched import ArrayPacker
 
 DAEMON_CLASSES = ("synchronous", "central", "distributed")
 
@@ -141,16 +138,37 @@ class TestFullProductEquivalence:
 # Engine dispatch and result API
 # --------------------------------------------------------------------- #
 class TestEngineDispatch:
-    def test_engines_agree_end_to_end(self):
-        protocol = DijkstraTokenRing.on_ring(4)
+    @pytest.mark.parametrize(
+        "n, daemon_class, facts",
+        [
+            pytest.param(4, "central", (625, 65, 13, True), id="ring4-central"),
+            # The exhaustive ring(6) certification: 7^6 configurations on
+            # the pure-Python dict oracle (several seconds), then batched.
+            pytest.param(
+                6,
+                "synchronous",
+                (117_649, 217, 9, True),
+                id="ring6-synchronous",
+                marks=pytest.mark.slow,
+            ),
+        ],
+    )
+    def test_engines_agree_end_to_end(self, n, daemon_class, facts):
+        protocol = DijkstraTokenRing.on_ring(n)
         specification = MutualExclusionSpec(protocol)
         by_engine = {
             engine: verify_stabilization(
-                protocol, specification, "central", engine=engine
+                protocol, specification, daemon_class, engine=engine
             )
             for engine in ("dict", "batched", "auto")
         }
         reference = by_engine["dict"]
+        assert (
+            reference.state_count,
+            reference.legitimate_count,
+            reference.exact_worst_case,
+            reference.stabilizes,
+        ) == facts
         for result in by_engine.values():
             assert result.exact_worst_case == reference.exact_worst_case
             assert result.state_count == reference.state_count
@@ -253,23 +271,38 @@ class TestArrayPacker:
 
 
 # --------------------------------------------------------------------- #
-# No-NumPy degradation
+# Degradation for protocols outside the kernel contract
 # --------------------------------------------------------------------- #
-class TestNoNumpyDegradation:
-    def test_auto_falls_back_and_batched_raises(self, monkeypatch):
-        protocol = DijkstraTokenRing.on_ring(3)
-        specification = MutualExclusionSpec(protocol)
-        with_numpy = verify_stabilization(
-            protocol, specification, "central", engine="auto"
-        )
-        monkeypatch.setitem(sys.modules, "numpy", None)
+class TestIneligibleProtocolDegradation:
+    def test_auto_falls_back_and_batched_raises(self):
+        class PickyUnison(AsynchronousUnison):
+            """Overrides ``choose_rule``, so it fails ``vector_eligible``."""
+
+            def choose_rule(self, enabled_rules, view):
+                return enabled_rules[-1]
+
+        protocol = PickyUnison(ring_graph(3), alpha=2, K=8)
+        specification = AsynchronousUnisonSpec(protocol)
+        assert protocol.array_kernel() is not None
         assert not batched_supported(protocol, specification)
-        without_numpy = verify_stabilization(
-            protocol, specification, "central", engine="auto"
-        )
-        assert without_numpy.exact_worst_case == with_numpy.exact_worst_case
-        assert without_numpy.state_count == with_numpy.state_count
-        with pytest.raises(VerificationError, match="batched"):
+        by_engine = {
+            engine: verify_stabilization(
+                protocol, specification, "central", engine=engine
+            )
+            for engine in ("dict", "auto")
+        }
+        facts = {
+            engine: (
+                result.state_count,
+                result.transition_count,
+                result.legitimate_count,
+                result.exact_worst_case,
+                result.stabilizes,
+            )
+            for engine, result in by_engine.items()
+        }
+        assert facts["auto"] == facts["dict"]
+        with pytest.raises(VerificationError, match="kernel semantics contract"):
             verify_stabilization(
                 protocol, specification, "central", engine="batched"
             )

@@ -9,17 +9,11 @@ engine's execution action for action: same configurations, same daemon
 selections, same enabled sets, same truncation verdict, and the same
 activation records per action (record *order* within one action follows
 set iteration order and is compared order-insensitively).
-
-The suite runs identically with and without NumPy installed: when NumPy is
-missing the ``engine="vector"`` runs silently degrade to the incremental
-engine (pinned explicitly by the fallback tests at the bottom), so the
-assertions still compare three observationally equal executions.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -127,9 +121,9 @@ def naive_run(protocol, daemon, rng, initial, max_steps):
 
 #: Engine/trace pairs every equivalence case compares against the first
 #: (reference) entry.  The vector entries degrade to the incremental
-#: engine for protocols without a kernel (or without NumPy) — the runs are
-#: then redundant but the assertions still hold, which is exactly the
-#: graceful-fallback contract.
+#: engine for protocols without a kernel — the runs are then redundant but
+#: the assertions still hold, which is exactly the graceful-fallback
+#: contract.
 EQUIVALENCE_MODES = (
     ("reference", "full"),
     ("incremental", "full"),
@@ -331,20 +325,17 @@ def test_vector_kernel_agrees_in_dense_regime(protocol_name, daemon_name, n, see
 
     Rings large enough that dense selections exercise the whole-array step
     (and, with the alternating daemon, the per-run cached enabled set under
-    membership churn), for every protocol that declares a kernel.  With
-    NumPy installed the runs are asserted to really use the vector backend.
+    membership churn), for every protocol that declares a kernel.  The runs
+    are asserted to really use the vector backend.
     """
     protocol = VECTOR_PROTOCOL_FACTORIES[protocol_name](ring_graph(n))
-    from repro.core import protocol_supports_vector
-
     simulator = Simulator(
         protocol,
         DENSE_DAEMON_FACTORIES[daemon_name](),
         rng=random.Random(seed + 1),
         engine="vector",
     )
-    if protocol_supports_vector(protocol):
-        assert simulator.engine == "vector"
+    assert simulator.engine == "vector"
     assert_equivalent_runs_dense(protocol, daemon_name, seed, steps)
 
 
@@ -372,53 +363,13 @@ def assert_equivalent_runs_dense(protocol, daemon_name, seed, steps):
         assert _normalized_records(other) == _normalized_records(reference)
 
 
-class TestNoNumpyFallback:
-    """Backend selection must degrade cleanly when NumPy is unavailable.
-
-    The stub poisons ``sys.modules["numpy"]`` (making ``import numpy``
-    raise), which is exactly what ``numpy_available()`` re-checks on every
-    call; the CI job without NumPy installed runs the whole suite in that
-    state for real.
-    """
+class TestVectorBackendSelection:
+    """Backend resolution for a protocol that declares the array capability."""
 
     def _protocol(self):
         return AsynchronousUnison(ring_graph(10), validate_parameters=False)
 
-    def test_vector_request_degrades_to_incremental(self, monkeypatch):
-        from repro.core import numpy_available
-
-        protocol = self._protocol()
-        initial = protocol.random_configuration(random.Random(3))
-        reference = Simulator(
-            protocol, SynchronousDaemon(), rng=random.Random(4), engine="reference"
-        ).run(initial, max_steps=25)
-
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        assert not numpy_available()
-        for engine in ("vector", "vector-superstep", "auto"):
-            simulator = Simulator(
-                protocol, SynchronousDaemon(), rng=random.Random(4), engine=engine
-            )
-            assert simulator.engine == "incremental"
-            execution = simulator.run(initial, max_steps=25)
-            assert simulator.last_run_backend == "dict"
-            assert list(execution.configurations) == list(reference.configurations)
-            assert execution.truncated == reference.truncated
-
-    def test_capability_hooks_return_none_without_numpy(self, monkeypatch):
-        from repro.core import protocol_supports_vector
-
-        protocol = self._protocol()
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        assert protocol.array_codec() is None
-        assert protocol.array_kernel() is None
-        assert not protocol_supports_vector(protocol)
-        dijkstra = DijkstraTokenRing(ring_graph(5))
-        assert dijkstra.array_codec() is None
-        assert dijkstra.array_kernel() is None
-
     def test_vector_backend_used_when_numpy_present(self):
-        pytest.importorskip("numpy")
         protocol = self._protocol()
         initial = protocol.random_configuration(random.Random(3))
         # auto + synchronous daemon + kernel → batched supersteps.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -255,7 +256,6 @@ class TestLazyEnabledSets:
 
     @pytest.fixture
     def log(self):
-        np = pytest.importorskip("numpy")
         vertices = ("a", "b", "c", "d")
         both = np.array([0, 2], dtype=np.int64)
         last = np.array([3], dtype=np.int64)

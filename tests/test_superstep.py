@@ -9,18 +9,15 @@ replay at non-checkpoint indices, mid-block ``stop_when`` rollback,
 mid-block terminal detection, the fixed-point fast-forward, the
 vectorized sparse guard refresh (subset kernels), in-kernel safety
 monitoring (no replay for a bare ``SafetyMonitor``), and the vectorized
-privilege fast paths of ``spec_ME``/``spec_AU``.  Everything here needs
-real NumPy; the no-NumPy degradation is covered in
-``test_engine_equivalence``.
+privilege fast paths of ``spec_ME``/``spec_AU``.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core import (
     ArrayKernel,

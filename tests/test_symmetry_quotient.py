@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.vector import numpy_available
 from repro.exceptions import VerificationError
 from repro.graphs import ring_graph
 from repro.mutex import SSME, MutualExclusionSpec
@@ -109,8 +108,6 @@ def test_canonicalization_commutes_with_rotation(n, seed, extra):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(3, 6), st.integers(0, 10_000))
 def test_array_canonicalization_matches_python(n, seed):
-    if not numpy_available():
-        pytest.skip("array path requires NumPy")
     from repro.verify.batched import ArrayPacker
 
     protocol, _, space, reducer = reducer_for(n)
@@ -162,8 +159,6 @@ def test_quotient_matches_full_exact_values(daemon_class, n):
 
 
 def test_quotient_agrees_across_engines():
-    if not numpy_available():
-        pytest.skip("engine comparison requires NumPy")
     protocol, specification = unison_instance(4, alpha=2, K=8)
     results = {
         engine: verify_stabilization(
@@ -197,8 +192,6 @@ def replay_lasso(counterexample, protocol):
 
 @pytest.mark.parametrize("engine", ["dict", "batched"])
 def test_quotient_lassos_replay_concretely(engine):
-    if engine == "batched" and not numpy_available():
-        pytest.skip("batched engine requires NumPy")
     # alpha = 1 < hole - 2: genuinely diverging under the distributed
     # daemon, so the quotient must hand back a concrete replayable lasso.
     protocol, specification = unison_instance(5)

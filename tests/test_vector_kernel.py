@@ -4,18 +4,15 @@ The engine equivalence suite pins whole traces; these tests pin the
 building blocks directly — CSR indexing, codecs, guard-by-guard kernel
 equality against the Python guards, the live array view, the capability
 API (including a width-2 tuple-state protocol), and the codec-decline
-fallback.  Everything here needs real NumPy and is skipped without it;
-the no-NumPy degradation path is covered in ``test_engine_equivalence``.
+fallback.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -174,21 +174,12 @@ class TestStateSpace:
         with pytest.raises(VerificationError, match="no state"):
             space.encode({0: 0, 1: 0})
 
-    def test_encode_many_matches_encode(self, rng):
+    # A batch under 8 takes the per-configuration path, 12 the array codec.
+    @pytest.mark.parametrize("batch", [5, 12])
+    def test_encode_many_matches_encode(self, rng, batch):
         protocol = SSME(ring_graph(4))
         space = StateSpace(protocol)
-        configurations = [protocol.random_configuration(rng) for _ in range(12)]
-        assert space.encode_many(configurations) == [
-            space.encode(c) for c in configurations
-        ]
-
-    def test_encode_many_pure_python_fallback(self, rng, monkeypatch):
-        import sys
-
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        protocol = SSME(ring_graph(4))
-        space = StateSpace(protocol)
-        configurations = [protocol.random_configuration(rng) for _ in range(5)]
+        configurations = [protocol.random_configuration(rng) for _ in range(batch)]
         assert space.encode_many(configurations) == [
             space.encode(c) for c in configurations
         ]
