@@ -11,10 +11,18 @@ array programs over the PR 3 kernel machinery:
   array over a block-diagonal :class:`~repro.core.vector.TiledGraphIndex`;
   the protocol's unmodified :class:`~repro.core.vector.ArrayKernel`
   evaluates every guard of every stacked configuration in one
-  ``enabled_rules`` call and fires whole selection batches in one ``fire``
-  call.  The synchronous class needs exactly one fire per frontier; the
-  central/distributed classes fire one block per admitted selection, in
-  the dict path's deterministic selection order (repr-rank within block).
+  ``enabled_rules`` call and fires every enabled (configuration, vertex)
+  pair in one ``fire`` call on the configurations themselves (the
+  kernel's atomic-snapshot contract: a fired row reads only its
+  pre-state).  Every daemon class is then a set of selections over those
+  pairs, in the dict path's deterministic order (repr-rank within a
+  configuration): the synchronous class takes all of a configuration's
+  pairs, the central class one pair, the distributed class each subset.
+  No successor configuration is materialized to compute its key: a
+  selection's key columns are its parent's plus the fired digits' deltas
+  times their mixed-radix multipliers, and index rows are built only for
+  newly discovered states (for every successor under a symmetry
+  reducer, which canonicalizes rows).
 
 * **State identity without bignums** (:class:`ArrayPacker`).  Mixed-radix
   keys overflow int64 already on SSME's ring(10) (``126¹⁰ > 2⁶³``), so the
@@ -24,11 +32,13 @@ array programs over the PR 3 kernel machinery:
   Python-int keys are materialized only at result boundaries (lassos,
   ``value_of`` lookups, dict-system conversion), never per explored state.
 
-* **Array frontier and solver** (:func:`solve_arrays`).  BFS dedup works on
-  NumPy arrays plus one dict probe per *distinct* candidate; the attractor
-  peel and backward value iteration run over CSR successor/predecessor
-  arrays and boolean visited masks, touching every edge a constant number
-  of times with no per-state Python.
+* **Array frontier and solver** (:func:`solve_arrays`).  Per-state
+  successor dedup is one stable ``lexsort`` per round; the node registry
+  is one dict probed and filled by C-level ``map``/``update`` passes over
+  the round's keys, with no per-state Python loop.  The attractor peel and
+  backward value iteration run over CSR successor/predecessor arrays
+  (int32 ids below 2³¹ nodes) and boolean visited masks, touching every
+  edge a constant number of times with no per-state Python.
 
 Exactness is preserved end to end: the kernels are pinned to the stock
 engine semantics by the engine equivalence suites, the expansion replicates
@@ -112,6 +122,7 @@ class ArrayPacker:
         "_group_starts",
         "_group_bases",
         "_local_mult",
+        "_group_of",
         "_radices",
     )
 
@@ -185,16 +196,19 @@ class ArrayPacker:
         # bases themselves may exceed int64).
         group_starts = [0]
         local_mult = np.empty(n, dtype=np.int64)
+        group_of = np.empty(n, dtype=np.int64)
         product = 1
         for i, radix in enumerate(self._radices):
             if product * radix > _GROUP_CAPACITY and product > 1:
                 group_starts.append(i)
                 product = 1
             local_mult[i] = product
+            group_of[i] = len(group_starts) - 1
             product *= radix
         self._group_starts = np.asarray(group_starts, dtype=np.int64)
         self._group_bases = [space.multipliers[start] for start in group_starts]
         self._local_mult = local_mult
+        self._group_of = group_of
 
     # ------------------------------------------------------------------ #
     # Geometry
@@ -225,27 +239,36 @@ class ArrayPacker:
 
     def indices_of(self, rows):
         """``(m, n)`` domain indices of an ``(m, n, width)`` codec-row
-        array, raising :class:`VerificationError` (naming the vertex and
-        the offending value) when any row is outside a declared domain."""
+        array (:meth:`digits_of` over every vertex of every row)."""
         import numpy as np
 
-        shifted = rows - self._lo
-        in_box = ((shifted >= 0) & (shifted < self._span)).all(axis=2)
-        combined = np.where(
-            in_box[:, :, None], shifted, 0
-        )  # clamp out-of-box rows to a valid table slot before the gather
-        combined = (combined * self._stride).sum(axis=2)
-        indices = self._table[np.arange(self._n)[None, :], combined]
-        invalid = ~in_box | (indices < 0)
+        m = rows.shape[0]
+        flat = rows.reshape(m * self._n, self._width)
+        positions = np.tile(np.arange(self._n, dtype=np.int64), m)
+        return self.digits_of(flat, positions).reshape(m, self._n)
+
+    def digits_of(self, rows, positions):
+        """Domain indices of ``(m, width)`` codec rows, row ``k`` read as a
+        state of vertex position ``positions[k]``; raises
+        :class:`VerificationError` (naming the vertex and the offending
+        value) when any row is outside its vertex's declared domain."""
+        import numpy as np
+
+        shifted = rows - self._lo[positions]
+        in_box = ((shifted >= 0) & (shifted < self._span[positions])).all(axis=1)
+        # Clamp out-of-box rows to a valid table slot before the gather.
+        combined = (np.where(in_box[:, None], shifted, 0) * self._stride[positions]).sum(axis=1)
+        digits = self._table[positions, combined]
+        invalid = ~in_box | (digits < 0)
         if invalid.any():
-            m_pos, v_pos = (int(x) for x in np.argwhere(invalid)[0])
-            state = self._codec.decode(rows[m_pos, v_pos][None, :])[0]
-            vertex = self._space.vertices[v_pos]
+            first = int(np.argmax(invalid))
+            state = self._codec.decode(rows[first][None, :])[0]
+            vertex = self._space.vertices[int(positions[first])]
             raise VerificationError(
                 f"state {state!r} of vertex {vertex!r} is outside the "
                 "declared state space"
             )
-        return indices
+        return digits
 
     def key_columns(self, indices):
         """``(m, C)`` grouped key columns of an ``(m, n)`` index matrix.
@@ -469,7 +492,7 @@ class BatchedTransitionSystem:
         "_base_index",
         "_tier_blocks",
         "_tiers",
-        "_rank_of_row",
+        "_repr_order",
         "_order",
         "_safe_hook_broken",
     )
@@ -527,12 +550,11 @@ class BatchedTransitionSystem:
             sorted({min(64, self._blocks), min(512, self._blocks), self._blocks})
         )
         self._tiers: Dict[int, Tuple[TiledGraphIndex, ArrayKernel]] = {}
-        # Row position -> rank in the dict path's repr-sorted enabled order.
-        order = sorted(range(self._base_index.n), key=lambda i: repr(self._space.vertices[i]))
-        rank = np.empty(self._base_index.n, dtype=np.int64)
-        for position, row in enumerate(order):
-            rank[row] = position
-        self._rank_of_row = rank
+        # Row positions in the dict path's repr-sorted enabled order.
+        self._repr_order = np.asarray(
+            sorted(range(self._base_index.n), key=lambda i: repr(self._space.vertices[i])),
+            dtype=np.int64,
+        )
         self._order = self._space.vertices
         self._safe_hook_broken = False
 
@@ -589,12 +611,12 @@ class BatchedTransitionSystem:
                 # closure then discovers nothing new.
                 for start in range(0, size, self._blocks):
                     stop = min(start + self._blocks, size)
-                    idx = self._dense_indices(start, stop)
-                    state.nodes_of(self._canonical(idx))
+                    idx = self._canonical(self._dense_indices(start, stop))
+                    state.nodes_of(self._packer.key_columns(idx), idx.__getitem__)
                 initial_nodes = np.arange(state.node_count, dtype=np.int64)
         else:
             idx = self._canonical(seed_idx)
-            seed_nodes = state.nodes_of(idx)
+            seed_nodes = state.nodes_of(self._packer.key_columns(idx), idx.__getitem__)
             initial_nodes = np.asarray(
                 list(dict.fromkeys(seed_nodes.tolist())), dtype=np.int64
             )
@@ -633,58 +655,70 @@ class BatchedTransitionSystem:
     def _expand_batch(self, state: "_ExpansionState", frontier_idx, frontier_ids) -> None:
         import numpy as np
 
+        packer = self._packer
         n = self._base_index.n
         F = frontier_idx.shape[0]
-        rows3d = self._packer.rows_of(frontier_idx)
-        rule_flat = self._eval_rules(rows3d)
-        enabled_flat = rule_flat >= 0
-        counts = enabled_flat.reshape(F, n).sum(axis=1)
+        rows3d = packer.rows_of(frontier_idx)
+        # One guard evaluation and one firing per frontier batch, both on
+        # the parents themselves: every enabled (parent, vertex) pair fires
+        # against the parent's pre-state, which is all any selection reads
+        # (the kernel contract's atomic snapshot).
+        states, index, kernel = self._pad_states(rows3d.reshape(F * n, packer._width))
+        rule_flat = kernel.enabled_rules(states, index)[: F * n]
+        # Enabled pairs sorted (parent, repr-rank of the row): the order of
+        # daemon_class_selections' repr-sorted enabled set.
+        pair_parent, rank = np.nonzero(rule_flat.reshape(F, n)[:, self._repr_order] >= 0)
+        pair_row = self._repr_order[rank]
+        pairs = pair_parent * n + pair_row
+        counts = np.bincount(pair_parent, minlength=F)
         terminal = counts == 0
         safe = self._safe_of(frontier_idx, rows3d)
+        succ_parent = succ_nodes = np.empty(0, dtype=np.int64)
+        if pairs.size:
+            # Selection s fires pairs fired[sel_start[s]:sel_start[s + 1]].
+            sel_parent, fired, sel_start = self._selections(pair_parent, counts)
+            sel_stop = np.append(sel_start[1:], fired.size)
+            new_rows = kernel.fire(states, pairs, rule_flat[pairs], index)
+            digits = packer.digits_of(new_rows, pair_row)
 
-        if self._daemon_class == "synchronous":
-            succ_parent, succ_idx = self._successors_synchronous(
-                rows3d, rule_flat, terminal
-            )
-        elif self._daemon_class == "central":
-            succ_parent, succ_idx = self._successors_central(
-                rows3d, rule_flat, counts
-            )
-        else:
-            succ_parent, succ_idx = self._successors_distributed(
-                rows3d, rule_flat, counts
-            )
-        succ_idx = self._canonical(succ_idx)
+            def rows_at(selections):
+                # Parent rows with the selections' fired digits scattered in.
+                spans = _concat_ranges_np(sel_start[selections], sel_stop[selections])
+                owner = np.repeat(
+                    np.arange(selections.size), sel_stop[selections] - sel_start[selections]
+                )
+                rows = frontier_idx[sel_parent[selections]]
+                rows[owner, pair_row[fired[spans]]] = digits[fired[spans]]
+                return rows
 
-        # Per-parent first-occurrence dedup, preserving the deterministic
-        # selection order (the dict path's dict.fromkeys over encode_many).
-        if succ_idx.shape[0]:
-            cols = self._packer.key_columns(succ_idx)
-            stacked = np.concatenate([succ_parent[:, None], cols], axis=1)
-            _, first = np.unique(stacked, axis=0, return_index=True)
-            keep = np.sort(first)
-            succ_parent = succ_parent[keep]
-            succ_idx = succ_idx[keep]
-            succ_nodes = state.nodes_of(succ_idx)
-        else:
-            succ_nodes = np.empty(0, dtype=np.int64)
-        dedup_counts = np.bincount(succ_parent, minlength=F)
+            if self._reducer is None:
+                # Key delta: a selection's key columns are its parent's plus
+                # Σ (new − old digit) · local multiplier, added into each
+                # fired row's column group.
+                delta = (digits - frontier_idx.ravel()[pairs]) * packer._local_mult[pair_row]
+                group = packer._group_of[pair_row[fired]]
+                cols = packer.key_columns(frontier_idx)[sel_parent]
+                for c in range(cols.shape[1]):
+                    cols[:, c] += np.add.reduceat(
+                        np.where(group == c, delta[fired], 0), sel_start
+                    )
+            else:
+                # Canonicalization permutes whole rows, so every successor
+                # needs its rows; the registry then stores canonical ones.
+                succ_idx = self._canonical(rows_at(np.arange(sel_parent.size)))
+                cols = packer.key_columns(succ_idx)
+                rows_at = succ_idx.__getitem__
+            # Per-parent first-occurrence dedup, preserving the deterministic
+            # selection order (the dict path's dict.fromkeys over encode_many).
+            keep = _first_occurrences(cols, sel_parent)
+            succ_parent = sel_parent[keep]
+            succ_nodes = state.nodes_of(cols[keep], lambda fresh: rows_at(keep[fresh]))
 
         # Interleave with terminal self-loops, in frontier order.
-        out_counts = np.where(terminal, 1, dedup_counts)
-        offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(out_counts)]
-        )
-        succ_out = np.empty(int(offsets[-1]), dtype=np.int64)
-        if succ_nodes.size:
-            position_in_parent = np.arange(succ_nodes.size, dtype=np.int64) - np.repeat(
-                np.cumsum(dedup_counts) - dedup_counts, dedup_counts
-            )
-            succ_out[np.repeat(offsets[:-1], dedup_counts) + position_in_parent] = (
-                succ_nodes
-            )
-        if terminal.any():
-            succ_out[offsets[:-1][terminal]] = frontier_ids[terminal]
+        out_counts = np.where(terminal, 1, np.bincount(succ_parent, minlength=F))
+        owners = np.concatenate([succ_parent, np.flatnonzero(terminal)])
+        succ_out = np.concatenate([succ_nodes, frontier_ids[terminal]])
+        succ_out = succ_out[np.argsort(owners, kind="stable")]
         state.commit(out_counts, succ_out, safe, terminal)
 
     # -- kernel plumbing ----------------------------------------------- #
@@ -716,118 +750,46 @@ class BatchedTransitionSystem:
             states = np.concatenate([states, pad])
         return states, index, kernel
 
-    def _eval_rules(self, rows3d):
-        """First-enabled rule ids for every vertex of every stacked
-        configuration — chunked ``enabled_rules`` calls at capacity."""
+    # -- per-daemon-class selections ------------------------------------ #
+    def _selections(self, pair_parent, counts):
+        """The daemon class's selections over the enabled pairs (sorted by
+        parent, then repr-rank), in the dict path's order: ``(parent of
+        each selection, fired pair ids, start of each selection's run in
+        the fired ids)``."""
         import numpy as np
 
-        n = self._base_index.n
-        F = rows3d.shape[0]
-        flat = rows3d.reshape(F * n, self._packer._width)
-        out = np.empty(F * n, dtype=np.int64)
-        for start in range(0, F, self._blocks):
-            stop = min(start + self._blocks, F)
-            states, index, kernel = self._pad_states(flat[start * n : stop * n])
-            rule_ids = kernel.enabled_rules(states, index)
-            out[start * n : stop * n] = rule_ids[: (stop - start) * n]
-        return out
-
-    def _fire_blocks(self, big3d, fired_block, fired_row, rule_ids):
-        """Fire one selection per block of ``big3d``: block ``b`` applies
-        the rules of its fired vertices atomically.  Returns the successor
-        ``(S, n, width)`` array."""
-        import numpy as np
-
-        n = self._base_index.n
-        width = self._packer._width
-        S = big3d.shape[0]
-        out = np.ascontiguousarray(big3d).copy()
-        flat = out.reshape(S * n, width)
-        for start in range(0, S, self._blocks):
-            stop = min(start + self._blocks, S)
-            states, index, kernel = self._pad_states(flat[start * n : stop * n])
-            mask = (fired_block >= start) & (fired_block < stop)
-            selected = (fired_block[mask] - start) * n + fired_row[mask]
-            new_rows = kernel.fire(states, selected, rule_ids[mask], index)
-            flat[start * n + selected] = new_rows
-        return out
-
-    # -- per-daemon-class successor generation ------------------------- #
-    def _successors_synchronous(self, rows3d, rule_flat, terminal):
-        import numpy as np
-
-        n = self._base_index.n
-        parents = np.nonzero(~terminal)[0]
-        if not parents.size:
-            return np.empty(0, dtype=np.int64), np.empty(
-                (0, n), dtype=np.int64
-            )
-        big3d = rows3d[parents]
-        # Flat enabled positions, re-based onto the compacted block layout.
-        enabled2d = (rule_flat >= 0).reshape(-1, n)[parents]
-        fired_block, fired_row = np.nonzero(enabled2d)
-        rules = rule_flat.reshape(-1, n)[parents][enabled2d]
-        fired = self._fire_blocks(big3d, fired_block, fired_row, rules)
-        return parents, self._packer.indices_of(fired)
-
-    def _successors_central(self, rows3d, rule_flat, counts):
-        import numpy as np
-
-        n = self._base_index.n
-        positions = np.nonzero(rule_flat >= 0)[0]
-        if not positions.size:
-            return np.empty(0, dtype=np.int64), np.empty((0, n), dtype=np.int64)
-        block = positions // n
-        row = positions % n
-        # One successor per enabled vertex, ordered (parent, repr-rank) to
-        # replicate daemon_class_selections' repr-sorted singleton order.
-        order = np.lexsort((self._rank_of_row[row], block))
-        positions = positions[order]
-        block, row = block[order], positions % n
-        big3d = np.repeat(rows3d, counts, axis=0)
-        fired_block = np.arange(positions.size, dtype=np.int64)
-        fired = self._fire_blocks(
-            big3d, fired_block, row, rule_flat[positions]
-        )
-        return block, self._packer.indices_of(fired)
-
-    def _successors_distributed(self, rows3d, rule_flat, counts):
-        import numpy as np
-
-        n = self._base_index.n
-        rank = self._rank_of_row
-        enabled2d = (rule_flat >= 0).reshape(-1, n)
+        every_pair = np.arange(pair_parent.size)
+        if self._daemon_class == "synchronous":
+            parents = np.flatnonzero(counts)
+            return parents, every_pair, (np.cumsum(counts) - counts)[parents]
+        if self._daemon_class == "central":
+            return pair_parent, every_pair, every_pair
         sel_parent: List[int] = []
-        sel_rows: List[int] = []
-        sel_blocks: List[int] = []
-        selection_count = 0
-        for parent in np.nonzero(counts > 0)[0].tolist():
-            rows = np.nonzero(enabled2d[parent])[0]
-            admitted = (1 << rows.size) - 1
+        fired: List[int] = []
+        sel_start: List[int] = []
+        offset = 0
+        for parent, count in enumerate(counts.tolist()):
+            admitted = (1 << count) - 1
             if admitted > self._max_selections:
                 raise VerificationError(
                     f"distributed daemon class admits {admitted} selections "
-                    f"for an enabled set of {rows.size} vertices, above the "
+                    f"for an enabled set of {count} vertices, above the "
                     f"cap of {self._max_selections}; raise max_selections or "
                     "verify a smaller instance"
                 )
-            ordered = sorted(rows.tolist(), key=lambda r: rank[r])
-            for size in range(1, len(ordered) + 1):
-                for combination in itertools.combinations(ordered, size):
-                    for fired_row in combination:
-                        sel_rows.append(fired_row)
-                        sel_blocks.append(selection_count)
+            for size in range(1, count + 1):
+                for combination in itertools.combinations(
+                    range(offset, offset + count), size
+                ):
+                    sel_start.append(len(fired))
+                    fired.extend(combination)
                     sel_parent.append(parent)
-                    selection_count += 1
-        if not selection_count:
-            return np.empty(0, dtype=np.int64), np.empty((0, n), dtype=np.int64)
-        parent_arr = np.asarray(sel_parent, dtype=np.int64)
-        fired_block = np.asarray(sel_blocks, dtype=np.int64)
-        fired_row = np.asarray(sel_rows, dtype=np.int64)
-        big3d = rows3d[parent_arr]
-        rules = rule_flat[parent_arr[fired_block] * n + fired_row]
-        fired = self._fire_blocks(big3d, fired_block, fired_row, rules)
-        return parent_arr, self._packer.indices_of(fired)
+            offset += count
+        return (
+            np.asarray(sel_parent, dtype=np.int64),
+            np.asarray(fired, dtype=np.int64),
+            np.asarray(sel_start, dtype=np.int64),
+        )
 
     # -- safety --------------------------------------------------------- #
     def _safe_of(self, frontier_idx, rows3d):
@@ -915,49 +877,39 @@ class _ExpansionState:
         self._rows_len = 0
 
     # -- node registry -------------------------------------------------- #
-    def nodes_of(self, idx):
-        """Node ids of an ``(m, n)`` (canonical) index matrix, assigning
-        fresh ids to unseen states in first-occurrence order."""
+    def nodes_of(self, cols, rows_at):
+        """Node ids of ``(m, C)`` (canonical) key columns, assigning fresh
+        ids to unseen keys in first-occurrence order; ``rows_at(positions)``
+        supplies the index rows of the positions that discover a node."""
         import numpy as np
 
-        packer = self._packer
-        cols = packer.key_columns(idx)
         if self.dense:
             return cols[:, 0]
-        if packer.packable:
-            uniques, first, inverse = np.unique(
-                cols[:, 0], return_index=True, return_inverse=True
+        labels = _labels(cols)
+        start = self.node_count
+        # One pass probes and claims: an unseen label keeps the provisional
+        # id ``start + its first position``, renumbered densely below.
+        nodes = np.fromiter(
+            map(self._node_of.setdefault, labels, range(start, start + len(labels))),
+            dtype=np.int64,
+            count=len(labels),
+        )
+        discovers = nodes == np.arange(start, start + len(labels))
+        fresh = np.flatnonzero(discovers)
+        if fresh.size:
+            new = nodes >= start
+            nodes[new] = start + (np.cumsum(discovers) - 1)[nodes[new] - start]
+            self._node_of.update(
+                zip([labels[i] for i in fresh.tolist()], range(start, start + fresh.size))
             )
-            labels = uniques.tolist()
-        else:
-            uniques, first, inverse = np.unique(
-                cols, axis=0, return_index=True, return_inverse=True
-            )
-            labels = [tuple(row) for row in uniques.tolist()]
-        node_of = self._node_of
-        lookup = np.empty(len(labels), dtype=np.int64)
-        misses: List[Tuple[int, int]] = []
-        for upos, label in enumerate(labels):
-            node = node_of.get(label, -1)
-            lookup[upos] = node
-            if node < 0:
-                misses.append((int(first[upos]), upos))
-        if misses:
-            misses.sort()
-            new_rows = np.empty((len(misses), idx.shape[1]), dtype=np.int64)
-            for offset, (first_ix, upos) in enumerate(misses):
-                node = self.node_count
-                self.node_count += 1
-                node_of[labels[upos]] = node
-                lookup[upos] = node
-                new_rows[offset] = idx[first_ix]
-            self._append_rows(new_rows)
+            self._append_rows(rows_at(fresh))
+            self.node_count += int(fresh.size)
             if self.node_count > self._system._max_states:
                 raise VerificationError(
                     f"reachable region exceeds the exploration cap of "
                     f"{self._system._max_states} configurations"
                 )
-        return lookup[inverse.ravel()]
+        return nodes
 
     def _append_rows(self, rows) -> None:
         # Amortized-doubling append: the registry grows by a few thousand
@@ -1046,6 +998,37 @@ class _ExpansionState:
             terminal=terminal,
             initial_nodes=initial_nodes,
         )
+
+
+def _labels(cols) -> List:
+    """Registry labels of ``(m, C)`` key columns: Python ints for one
+    column, otherwise each row's raw bytes (built and hashed in C, and
+    lighter than int tuples)."""
+    import numpy as np
+
+    if cols.shape[1] == 1:
+        return cols[:, 0].tolist()
+    row_bytes = np.dtype((np.void, cols.itemsize * cols.shape[1]))
+    return np.ascontiguousarray(cols).view(row_bytes).ravel().tolist()
+
+
+def _first_occurrences(cols, parents):
+    """Ascending positions of each parent's first occurrence of every
+    distinct ``(m, C)`` key-column row, for nondecreasing ``parents``.
+
+    One stable ``lexsort`` over the key columns keeps equal keys in
+    position order, hence in parent order, so equal (parent, key) pairs
+    end up adjacent with the first occurrence leading its run.
+    """
+    import numpy as np
+
+    order = np.lexsort(cols.T)
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = False
+    for key in (*cols.T, parents):
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    return np.sort(order[starts])
 
 
 # ---------------------------------------------------------------------- #
@@ -1188,13 +1171,14 @@ def solve_arrays(system: ArrayExploredSystem) -> ArrayGameSolution:
 
     N = system.state_count
     indptr = system.indptr
-    succ = system.succ.astype(np.int64, copy=False)
+    succ = system.succ
     counts = indptr[1:] - indptr[:-1]
 
-    # Reverse CSR: predecessors of every node.
-    edge_owner = np.repeat(np.arange(N, dtype=np.int64), counts)
+    # Reverse CSR: predecessors of every node, as int32 ids when they fit.
+    node_dtype = np.int32 if N < (1 << 31) else np.int64
     order = np.argsort(succ, kind="stable")
-    pred_src = edge_owner[order]
+    pred_src = np.repeat(np.arange(N, dtype=node_dtype), counts)[order]
+    del order
     pred_indptr = np.zeros(N + 1, dtype=np.int64)
     np.cumsum(np.bincount(succ, minlength=N), out=pred_indptr[1:])
 
@@ -1316,11 +1300,17 @@ class _ArrayKeySet:
 
 
 def _concat_ranges_np(starts, stops):
+    """``concatenate([arange(a, b) for a, b in zip(starts, stops)])`` in
+    one output-sized array: unit steps, with a jump at each range start,
+    summed in place."""
     import numpy as np
 
-    counts = stops - starts
-    total = int(counts.sum())
-    if total == 0:
+    nonempty = stops > starts
+    starts, stops = starts[nonempty], stops[nonempty]
+    if not starts.size:
         return np.empty(0, dtype=np.int64)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(starts, counts) + (np.arange(total, dtype=np.int64) - offsets)
+    lengths = stops - starts
+    out = np.ones(int(lengths.sum()), dtype=np.int64)
+    out[0] = starts[0]
+    out[np.cumsum(lengths[:-1])] = starts[1:] - stops[:-1] + 1
+    return np.cumsum(out, out=out)

@@ -11,6 +11,8 @@ and the graceful degradation for protocols the batched engine cannot run.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -25,6 +27,7 @@ from repro.exceptions import VerificationError
 from repro.graphs import path_graph, ring_graph
 from repro.mutex import SSME, DijkstraTokenRing, MutualExclusionSpec
 from repro.unison import AsynchronousUnison, AsynchronousUnisonSpec
+from repro.experiments.workloads import mutex_workload
 from repro.verify import (
     BatchedTransitionSystem,
     StateSpace,
@@ -35,6 +38,7 @@ from repro.verify import (
     verify_stabilization,
 )
 from repro.verify.batched import ArrayPacker
+from repro.verify.symmetry import SymmetryReducer
 
 DAEMON_CLASSES = ("synchronous", "central", "distributed")
 
@@ -203,18 +207,30 @@ class TestEngineDispatch:
                 assert result.counterexample is not None
                 replay_lasso(result.counterexample, protocol)
 
-    def test_exploration_cap_message_matches_dict_path(self):
+    @pytest.mark.parametrize("daemon_class", DAEMON_CLASSES)
+    @pytest.mark.parametrize("mode", ["full", "region"])
+    def test_exploration_cap_message_matches_dict_path(self, daemon_class, mode):
         protocol = DijkstraTokenRing.on_ring(5)
         specification = MutualExclusionSpec(protocol)
+        # Full mode trips the product-size pre-check; a region of 150
+        # random configurations trips the cap during expansion.
+        rng = random.Random(7)
+        initial = (
+            None
+            if mode == "full"
+            else [protocol.random_configuration(rng) for _ in range(150)]
+        )
         errors = {}
         for engine in ("dict", "batched"):
             with pytest.raises(VerificationError) as excinfo:
                 verify_stabilization(
-                    protocol, specification, "central",
+                    protocol, specification, daemon_class, initial,
                     engine=engine, max_states=100,
                 )
             errors[engine] = str(excinfo.value)
         assert errors["dict"] == errors["batched"]
+        expected = "full state space" if mode == "full" else "reachable region"
+        assert errors["batched"].startswith(expected)
 
 
 # --------------------------------------------------------------------- #
@@ -305,4 +321,119 @@ class TestIneligibleProtocolDegradation:
         with pytest.raises(VerificationError, match="kernel semantics contract"):
             verify_stabilization(
                 protocol, specification, "central", engine="batched"
+            )
+
+
+# --------------------------------------------------------------------- #
+# Node numbering, wide keys and out-of-domain firings
+# --------------------------------------------------------------------- #
+def _pinned_instance(name, daemon_class):
+    if name == "ssme-ring5-region":
+        protocol = SSME(ring_graph(5))
+        specification = MutualExclusionSpec(protocol)
+        region = mutex_workload(protocol, random.Random(3), random_count=3)
+        return BatchedTransitionSystem(
+            protocol, specification, daemon_class
+        ).explore(region)
+    if name == "dijkstra-ring4-k3-full":
+        protocol = DijkstraTokenRing.on_ring(4, K=3)
+        return BatchedTransitionSystem(
+            protocol, MutualExclusionSpec(protocol), daemon_class
+        ).explore_full()
+    protocol = AsynchronousUnison(
+        ring_graph(4), alpha=1, K=3, validate_parameters=False
+    )
+    specification = AsynchronousUnisonSpec(protocol)
+    reducer = SymmetryReducer.for_instance(
+        protocol, specification, StateSpace(protocol)
+    )
+    return BatchedTransitionSystem(
+        protocol, specification, daemon_class, reducer=reducer
+    ).explore_full()
+
+
+#: (states, transitions, SHA-256 prefix of the node keys in node order,
+#: ``indptr`` and ``succ``), recorded from the batched checker before its
+#: successor expansion was rewritten around key deltas.
+PINNED_SYSTEMS = {
+    ("ssme-ring5-region", "synchronous"): (45, 45, "1b4c2d7f3ae15b9f"),
+    ("ssme-ring5-region", "central"): (2074, 5262, "c11fc92ec76bb3ad"),
+    ("ssme-ring5-region", "distributed"): (2074, 12460, "1f449054ce55fd9f"),
+    ("dijkstra-ring4-k3-full", "synchronous"): (81, 81, "fe157fa276987150"),
+    ("dijkstra-ring4-k3-full", "central"): (81, 189, "bf7657813973def9"),
+    ("dijkstra-ring4-k3-full", "distributed"): (81, 417, "e8b95a40541ebb1a"),
+    ("unison-ring4-quotient-full", "synchronous"): (55, 55, "a06b0413856cefff"),
+    ("unison-ring4-quotient-full", "central"): (55, 80, "2b2c48358a39e0c7"),
+    ("unison-ring4-quotient-full", "distributed"): (55, 148, "af9e3d65fb38eb62"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, daemon_class",
+    sorted(PINNED_SYSTEMS),
+    ids=[f"{name}-{dc}" for name, dc in sorted(PINNED_SYSTEMS)],
+)
+def test_discovery_order_is_pinned(name, daemon_class):
+    # ``assert_systems_identical`` compares key sets and successor dicts,
+    # which hold under any node numbering; this pins the numbering itself
+    # (discovery order) and the CSR arrays built on it.
+    system = _pinned_instance(name, daemon_class)
+    payload = json.dumps(
+        [
+            system.packer.python_keys(system.index_matrix),
+            system.indptr.tolist(),
+            system.succ.tolist(),
+        ]
+    )
+    digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
+    assert (
+        system.state_count,
+        system.transition_count,
+        digest,
+    ) == PINNED_SYSTEMS[(name, daemon_class)]
+
+
+@pytest.mark.parametrize("daemon_class", DAEMON_CLASSES)
+@pytest.mark.parametrize("mode", ["full", "region"])
+def test_multi_column_keys_match_dict_path(monkeypatch, daemon_class, mode):
+    # A capacity of 30 packs at most two radix-5 digits per key column, so
+    # a 4-vertex Dijkstra ring needs two columns (a 5-vertex one three).
+    monkeypatch.setattr("repro.verify.batched._GROUP_CAPACITY", 30)
+    n = 4 if mode == "full" else 5
+    protocol = DijkstraTokenRing.on_ring(n, K=5)
+    assert ArrayPacker(StateSpace(protocol), protocol.array_codec()).columns >= 2
+    initial = None
+    if mode == "region":
+        initial = [
+            protocol.configuration(
+                {v: (v * 2) % protocol.K for v in protocol.graph.vertices}
+            ),
+            protocol.configuration({v: 0 for v in protocol.graph.vertices}),
+        ]
+    assert_systems_identical(
+        protocol, MutualExclusionSpec(protocol), daemon_class, initial
+    )
+
+
+class _TruncatedDijkstra(DijkstraTokenRing):
+    """Declares counters ``{0, ..., K-2}`` although the bottom machine's
+    ``+1 mod K`` reaches ``K-1``."""
+
+    def vertex_state_space(self, vertex):
+        return range(self.K - 1)
+
+
+@pytest.mark.parametrize("daemon_class", DAEMON_CLASSES)
+@pytest.mark.parametrize("mode", ["full", "region"])
+def test_out_of_domain_successor_raises_through_expansion(daemon_class, mode):
+    protocol = _TruncatedDijkstra(ring_graph(3), K=4)
+    system = BatchedTransitionSystem(
+        protocol, MutualExclusionSpec(protocol), daemon_class
+    )
+    with pytest.raises(VerificationError, match="outside the declared state space"):
+        if mode == "full":
+            system.explore_full()
+        else:
+            system.explore(
+                [protocol.configuration({v: 0 for v in protocol.graph.vertices})]
             )
