@@ -29,16 +29,17 @@ Headline numbers (acceptance criteria of the engine PRs):
   (largest measured size under ``--quick``): vector kernel >= 15x the
   reference engine (PR 3, array-state kernel);
 * ``headline_sd_superstep`` — synchronous daemon on ``ring_graph(3200)``
-  (degrades to the largest measured size under ``--quick``): batched
-  superstep backend >= 50x the reference engine (PR 5, in-kernel
-  supersteps).  The reference baseline for this one row is measured at
-  n=3200 directly (a few seconds of full rescans).
+  (degrades to the largest measured size under ``--quick``): vector
+  kernel in supersteps >= 50x the reference engine.  The reference
+  baseline for this one row is measured at n=3200 directly (a few seconds
+  of full rescans).
 
-The dense regime is also swept at ``n ∈ {3200, 10000}`` (sd only; the
-reference engine appears only in the n=3200 baseline row) and the
-superstep regime at ``n ∈ {100000, 1000000}`` (single-step vector light at
-1e5, superstep light at both — the single-step engine takes ~20s/120 steps
-at 1e5 and materialized per-step deltas dominate memory at 1e6).  Those
+Under the synchronous daemon the ``vector`` engine runs in batched
+supersteps (``VectorEngine.run_supersteps``), so every sd ``vector`` row
+times the superstep loop.  The dense regime is also swept at
+``n ∈ {3200, 10000}`` (sd only; the reference engine appears only in the
+n=3200 baseline row) and the superstep regime at ``n ∈ {100000, 1000000}``
+(light traces only: per-step states dominate memory at 1e6).  Those
 rows start from the **legitimate** configuration — their step budget is
 far below the ~n synchronous steps a random initial needs to stabilize at
 these sizes, so a random start would measure the reset churn rather than
@@ -84,11 +85,8 @@ QUICK_SIZES = (50, 200)
 #: skipped everywhere else in this range.
 LARGE_SIZES = (3200, 10000)
 
-#: Superstep-regime scaling sizes: sd only, light traces only.  The
-#: single-step vector engine is still measured at the first size (~20s per
-#: 120-step run); at the last only the superstep backend runs — its
-#: checkpoint-and-replay trace keeps memory at a few state arrays where
-#: the single-step engine materializes per-step deltas.
+#: Superstep-regime scaling sizes: sd only, vector light traces only — the
+#: superstep checkpoint-and-replay trace keeps memory at a few state arrays.
 HUGE_SIZES = (100_000, 1_000_000)
 
 #: The size whose reference-engine baseline anchors headline_sd_superstep.
@@ -108,21 +106,11 @@ ENGINE_MODES = (
     ("vector", "light"),
 )
 
-#: Extra modes measured only under the synchronous daemon — the batched
-#: superstep path engages for sd alone (elsewhere "vector-superstep"
-#: degrades to plain single-step "vector" and would duplicate those rows).
-SD_ENGINE_MODES = (
-    ("vector-superstep", "full"),
-    ("vector-superstep", "light"),
-)
-
 #: Modes measured at the LARGE_SIZES rows (all sd).
 LARGE_ENGINE_MODES = (
     ("incremental", "light"),
     ("vector", "full"),
     ("vector", "light"),
-    ("vector-superstep", "full"),
-    ("vector-superstep", "light"),
 )
 
 
@@ -234,10 +222,7 @@ def run_benchmark(
         # validation is skipped because it does not scale to the n>=3200 rows.
         protocol = AsynchronousUnison(ring_graph(n), validate_parameters=False)
         for daemon_name in daemons:
-            modes = ENGINE_MODES
-            if daemon_name == "sd":
-                modes = modes + SD_ENGINE_MODES
-            for engine, trace in modes:
+            for engine, trace in ENGINE_MODES:
                 measure_into_rows(protocol, daemon_name, engine, trace, _steps_for(n))
 
     # Dense-regime scaling rows: the reference engine is deliberately
@@ -268,18 +253,8 @@ def run_benchmark(
     # the checkpoint-and-replay design exists to avoid.
     for n in huge_sizes:
         protocol = AsynchronousUnison(ring_graph(n), validate_parameters=False)
-        if n <= min(huge_sizes):
-            # Single-step comparison point (~20s per 120-step run at 1e5).
-            measure_into_rows(
-                protocol, "sd", "vector", "light", _steps_for(n), initial_kind="legitimate"
-            )
         measure_into_rows(
-            protocol,
-            "sd",
-            "vector-superstep",
-            "light",
-            _steps_for(n),
-            initial_kind="legitimate",
+            protocol, "sd", "vector", "light", _steps_for(n), initial_kind="legitimate"
         )
 
     def throughput(n: int, daemon: str, engine: str, trace: str) -> Optional[float]:
@@ -299,10 +274,7 @@ def run_benchmark(
             base = throughput(n, daemon_name, "reference", "full")
             if not base:
                 continue
-            modes = tuple(ENGINE_MODES[1:])
-            if daemon_name == "sd":
-                modes = modes + SD_ENGINE_MODES
-            for engine, trace in modes:
+            for engine, trace in ENGINE_MODES[1:]:
                 new = throughput(n, daemon_name, engine, trace)
                 if new:
                     speedups.append(
@@ -352,14 +324,14 @@ def run_benchmark(
         SUPERSTEP_HEADLINE_N if SUPERSTEP_HEADLINE_N in large_sizes else vector_n
     )
     headline_sd_superstep = (
-        make_headline("sd", "vector-superstep", superstep_n, 50.0)
+        make_headline("sd", "vector", superstep_n, 50.0)
         if "sd" in daemons
         else {}
     )
     if headline_sd_superstep and superstep_n != SUPERSTEP_HEADLINE_N:
         # Measured at a quick-mode fallback size where the full-sweep 50x
         # target is not expected to hold: informational, never a failure
-        # exit (CI applies its own superstep-vs-single-step-vector check).
+        # exit.
         headline_sd_superstep["degraded"] = True
 
     return {
@@ -420,7 +392,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ("headline", "cd/incremental"),
         ("headline_sd", "sd/incremental"),
         ("headline_sd_vector", "sd/vector"),
-        ("headline_sd_superstep", "sd/vector-superstep"),
+        ("headline_sd_superstep", "sd/vector"),
     ):
         head = summary.get(key)
         if not head:

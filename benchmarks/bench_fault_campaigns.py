@@ -25,6 +25,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
+from repro.core.simulator import ENGINES
 from repro.experiments import fault_campaigns
 
 #: The per-scenario report columns that are deterministic recovery
@@ -57,7 +58,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--engine",
         default="auto",
-        choices=("auto", "reference", "incremental", "vector", "vector-superstep"),
+        choices=ENGINES,
         help="engine backend (headlines are identical for all of them)",
     )
     args = parser.parse_args(argv)

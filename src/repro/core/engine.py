@@ -109,10 +109,11 @@ class IncrementalEngine:
     **array-state backend** that replaces the whole per-step scan of the
     dense (batch) regime with a handful of array operations.  ``run``'s
     ``backend`` parameter picks between them — ``"auto"`` (default) uses
-    the vector backend exactly when the protocol declares one and the
-    daemon advertises dense selections (:attr:`Daemon.dense`);
-    ``"vector"`` requests it for any daemon; both degrade gracefully to the
-    dict paths when the capability is missing.
+    the vector backend exactly when the protocol declares one and
+    :func:`prefers_array_backend` approves the daemon (dense daemons
+    always, known mid-density daemons on large graphs); ``"vector"``
+    requests it for any daemon; both degrade gracefully to the dict paths
+    when the capability is missing.
     """
 
     __slots__ = (
@@ -140,8 +141,8 @@ class IncrementalEngine:
             v: tuple(self._graph.neighbors(v)) for v in self._vertices
         }
         self._vector = None
-        #: Which backend the most recent ``run`` used ("vector-superstep",
-        #: "vector" or "dict"); None before the first run.  Diagnostic only.
+        #: Which backend the most recent ``run`` used ("vector" or "dict");
+        #: None before the first run.  Diagnostic only.
         self.last_run_backend: Optional[str] = None
 
     def _vector_engine(self):
@@ -190,44 +191,30 @@ class IncrementalEngine:
         view would observe it silently change under later actions.
 
         ``backend`` selects between the dict-based sparse/batch paths
-        (``"dict"``), the per-step NumPy array-state kernel (``"vector"``),
-        and the batched synchronous kernel loop (``"vector-superstep"``, see
-        :meth:`VectorEngine.run_supersteps`); ``"auto"`` (default) picks the
-        array backend for daemons :func:`prefers_array_backend` approves
-        when the protocol declares one, upgrading to supersteps for
-        synchronous daemons.  Requests the capability cannot honour (no
-        kernel, states outside the codec's layout, supersteps
-        under a non-synchronous daemon) fall back to the next backend down —
-        never an error.
+        (``"dict"``) and the NumPy array-state kernel (``"vector"``), which
+        runs in batched supersteps (:meth:`VectorEngine.run_supersteps`)
+        whenever the daemon is synchronous — a deterministic schedule with
+        no per-step decision — and step by step (:meth:`VectorEngine.run`)
+        otherwise; ``"auto"`` (default) picks the array backend for daemons
+        :func:`prefers_array_backend` approves when the protocol declares
+        one.  Requests the capability cannot honour (no kernel, states
+        outside the codec's layout) fall back to the dict paths — never an
+        error.
         """
         if trace not in {"full", "light"}:
             raise SimulationError(f"unknown trace mode {trace!r}")
-        if backend not in {"auto", "dict", "vector", "vector-superstep"}:
+        if backend not in {"auto", "dict", "vector"}:
             raise SimulationError(f"unknown engine backend {backend!r}")
         if backend != "dict":
             vector = self._vector_engine()
             if vector is not None and (
-                backend in ("vector", "vector-superstep")
-                or prefers_array_backend(daemon, self._graph.n)
+                backend == "vector" or prefers_array_backend(daemon, self._graph.n)
             ):
                 encoded = vector.encode_initial(initial)
                 if encoded is not None:
-                    # Supersteps need a deterministic full-enabled-set
-                    # schedule; an explicit single-step "vector" request is
-                    # honoured as-is (benchmarks compare the two paths).
-                    if daemon.synchronous and backend != "vector":
-                        self.last_run_backend = "vector-superstep"
-                        return vector.run_supersteps(
-                            daemon=daemon,
-                            rng=rng,
-                            initial=initial,
-                            max_steps=max_steps,
-                            stop_when=stop_when,
-                            trace=trace,
-                            initial_array=encoded,
-                        )
                     self.last_run_backend = "vector"
-                    return vector.run(
+                    loop = vector.run_supersteps if daemon.synchronous else vector.run
+                    return loop(
                         daemon=daemon,
                         rng=rng,
                         initial=initial,

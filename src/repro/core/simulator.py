@@ -27,13 +27,7 @@ from .state import Configuration
 __all__ = ["StepResult", "Simulator"]
 
 #: Engine selection values accepted by :class:`Simulator`.
-ENGINES = (
-    "auto",
-    "incremental",
-    "vector",
-    "vector-superstep",
-    "reference",
-)
+ENGINES = ("auto", "incremental", "vector", "reference")
 
 #: Trace modes accepted by :class:`Simulator` (see docs/engine.md).
 TRACE_MODES = ("full", "light")
@@ -83,19 +77,16 @@ class Simulator:
         (protocol, daemon) pair: the NumPy-vectorized array-state kernel
         (:mod:`repro.core.vector`) when the protocol declares one and the
         daemon makes dense (or known mid-density) selections
-        (:func:`~repro.core.engine.prefers_array_backend`) —
-        upgraded to the batched superstep loop
-        (:meth:`~repro.core.vector.VectorEngine.run_supersteps`) when the
-        daemon is synchronous (:attr:`Daemon.synchronous`); the dirty-set
+        (:func:`~repro.core.engine.prefers_array_backend`); the dirty-set
         incremental engine otherwise.  ``"incremental"`` forces the
         dict-based dirty-set engine of :mod:`repro.core.engine`;
-        ``"vector"`` requests the single-step array-state kernel for any
-        daemon; ``"vector-superstep"`` requests the batched kernel loop
-        (degrading to ``"vector"`` under a non-synchronous daemon, whose
-        per-step selections supersteps cannot honour).  Both array requests
-        fall back to ``"incremental"`` when the capability is unavailable.
-        ``"reference"`` runs the naive full-rescan semantics and serves as
-        the correctness oracle.  Protocols that
+        ``"vector"`` requests the array-state kernel for any daemon,
+        falling back to ``"incremental"`` when the capability is
+        unavailable.  The kernel runs in batched supersteps
+        (:meth:`~repro.core.vector.VectorEngine.run_supersteps`) whenever
+        the daemon is synchronous (:attr:`Daemon.synchronous`) and step by
+        step otherwise.  ``"reference"`` runs the naive full-rescan
+        semantics and serves as the correctness oracle.  Protocols that
         override the base-class transition methods automatically fall back
         to the reference engine.  The resolved choice is reported by
         :attr:`engine`; any other name raises :class:`SimulationError`.
@@ -153,26 +144,16 @@ class Simulator:
         # probe constructs the incremental engine (which runs would build
         # anyway) so the kernel it instantiates is the one that runs.
         self._incremental: Optional[IncrementalEngine] = None
-        if engine in ("auto", "vector", "vector-superstep"):
+        if engine in ("auto", "vector"):
             if engine == "auto" and not prefers_array_backend(daemon, protocol.graph.n):
                 engine = "incremental"
             elif not self._prepared_ok:
                 engine = "reference"
             else:
                 self._incremental = IncrementalEngine(protocol)
-                if self._incremental._vector_engine() is None:
-                    engine = "incremental"
-                elif engine == "vector":
-                    # An explicit single-step request stays single-step
-                    # (benchmarks and equivalence tests compare the paths).
-                    engine = "vector"
-                else:
-                    # "auto" on an array-approved daemon, or an explicit
-                    # superstep request: batched kernel blocks whenever the
-                    # schedule is deterministic (synchronous daemon),
-                    # per-step vector otherwise.
-                    engine = "vector-superstep" if daemon.synchronous else "vector"
-        if engine in ("incremental", "vector", "vector-superstep") and not self._prepared_ok:
+                has_kernel = self._incremental._vector_engine() is not None
+                engine = "vector" if has_kernel else "incremental"
+        if engine in ("incremental", "vector") and not self._prepared_ok:
             engine = "reference"
         self._engine = engine
         self._trace = trace
@@ -189,15 +170,14 @@ class Simulator:
 
     @property
     def engine(self) -> str:
-        """The resolved engine ("vector-superstep", "vector", "incremental"
-        or "reference")."""
+        """The resolved engine ("vector", "incremental" or "reference")."""
         return self._engine
 
     @property
     def last_run_backend(self) -> Optional[str]:
         """Which backend the most recent :meth:`run` actually used
-        ("vector-superstep", "vector" or "dict"; None before any run or
-        under the reference engine).  Diagnostic: the vector backend may
+        ("vector" or "dict"; None before any run or under the reference
+        engine).  Diagnostic: the vector backend may
         decline a particular initial configuration (states outside the
         codec's integer layout) and fall back to the dict paths
         mid-selection."""
@@ -272,7 +252,7 @@ class Simulator:
                 f"unknown trace mode {trace!r}; known: {', '.join(TRACE_MODES)}"
             )
         self._daemon.reset()
-        if self._engine in ("incremental", "vector", "vector-superstep"):
+        if self._engine in ("incremental", "vector"):
             if self._incremental is None:
                 self._incremental = IncrementalEngine(self._protocol)
             return self._incremental.run(
@@ -282,11 +262,7 @@ class Simulator:
                 max_steps=max_steps,
                 stop_when=stop_when,
                 trace=trace,
-                backend=(
-                    self._engine
-                    if self._engine in ("vector", "vector-superstep")
-                    else "dict"
-                ),
+                backend="vector" if self._engine == "vector" else "dict",
             )
         return self._run_reference(initial, max_steps, stop_when, trace)
 

@@ -621,8 +621,9 @@ class _SuperstepReplayer:
     per-step artefact (configurations, deltas, activation records) is
     reconstructed on demand by replaying the kernel forward from the nearest
     checkpoint at or before the requested index.  The kernel is a pure
-    function of the state array, so the replay is bit-identical to the
-    original run.
+    function of the state array, and the replay fires through the engine's
+    own :meth:`VectorEngine._fire` (same sparse-refresh fast paths), so the
+    replay is bit-identical to the original run.
 
     One mutable cursor (``_states``/``_rule_ids`` positioned at
     configuration ``_at``) is kept; sequential access — the dominant pattern
@@ -631,34 +632,20 @@ class _SuperstepReplayer:
     checkpoint load plus ``superstep`` kernel steps.
     """
 
-    __slots__ = (
-        "_codec",
-        "_kernel",
-        "_index",
-        "_checkpoints",
-        "_refresh",
-        "_at",
-        "_states",
-        "_rule_ids",
-    )
+    __slots__ = ("_engine", "_checkpoints", "_at", "_states", "_rule_ids")
 
-    def __init__(self, codec, kernel, index, checkpoints, refresh) -> None:
-        self._codec = codec
-        self._kernel = kernel
-        self._index = index
+    def __init__(self, engine: "VectorEngine", checkpoints) -> None:
+        self._engine = engine
         #: step -> pristine state-array snapshot (never handed out).
         self._checkpoints: Dict[int, object] = checkpoints
-        #: ``(rule_ids, states, selected, changed_rows) -> rule_ids`` — the
-        #: engine's (possibly sparse) guard-refresh, shared so replays take
-        #: the same fast paths as the original run.
-        self._refresh = refresh
         self._at = -1
         self._states = None
         self._rule_ids = None
 
     def _load(self, step: int) -> None:
+        engine = self._engine
         self._states = self._checkpoints[step].copy()
-        self._rule_ids = self._kernel.enabled_rules(self._states, self._index)
+        self._rule_ids = engine._kernel.enabled_rules(self._states, engine._index)
         self._at = step
 
     def seek(self, step: int) -> None:
@@ -677,28 +664,23 @@ class _SuperstepReplayer:
 
     def _advance(self):
         """Fire one synchronous step on the cursor; returns the step data
-        ``(selected, rule_ids, old_rows, new_rows)`` of the transition."""
+        ``(selected, rule_ids, old_rows, new_rows, changed_rows)`` of the
+        transition (see :meth:`VectorEngine._fire`)."""
         import numpy as np
 
-        rule_ids = self._rule_ids
-        pos = np.flatnonzero(rule_ids != -1)
-        rids = rule_ids[pos]
-        old_rows = self._states[pos]
-        new_rows = self._kernel.fire(self._states, pos, rids, self._index)
-        changed_rows = (new_rows != old_rows).any(axis=1)
-        if bool(changed_rows.any()):
-            self._states[pos] = new_rows
-            self._rule_ids = self._refresh(
-                rule_ids, self._states, pos, changed_rows
-            )
+        selected = np.flatnonzero(self._rule_ids != -1)
+        self._rule_ids, rids, old_rows, new_rows, changed_rows = self._engine._fire(
+            self._states, self._rule_ids, selected
+        )
         self._at += 1
-        return pos, rids, old_rows, new_rows
+        return selected, rids, old_rows, new_rows, changed_rows
 
     # -- accessors (all position the cursor as a side effect) --------------
     def step_data(self, step: int):
-        """``(selected, rule_ids, old_rows, new_rows)`` of action ``step``.
+        """``(selected, rule_ids, old_rows, new_rows, changed_rows)`` of
+        action ``step``.
 
-        All four arrays are fresh copies safe to retain; the cursor ends on
+        All arrays are fresh copies safe to retain; the cursor ends on
         configuration ``step + 1`` so sequential action walks replay each
         step exactly once.
         """
@@ -713,8 +695,9 @@ class _SuperstepReplayer:
     def configuration_at(self, step: int) -> Configuration:
         """Configuration ``step`` as an immutable decoded snapshot."""
         self.seek(step)
+        engine = self._engine
         return Configuration._from_trusted_dict(
-            dict(zip(self._index.vertices, self._codec.decode(self._states)))
+            dict(zip(engine._index.vertices, engine._codec.decode(self._states)))
         )
 
     def view_at(self, step: int) -> ArrayStateView:
@@ -723,7 +706,7 @@ class _SuperstepReplayer:
         Valid only until the cursor moves — consume immediately.
         """
         self.seek(step)
-        return ArrayStateView(self._index, self._states, self._codec)
+        return ArrayStateView(self._engine._index, self._states, self._engine._codec)
 
 
 class _SuperstepActionLog(Sequence):
@@ -758,7 +741,7 @@ class _SuperstepActionLog(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         index = self._position_index(index)
-        selected, rule_ids, old_rows, new_rows = self._replayer.step_data(index)
+        selected, rule_ids, old_rows, new_rows, _ = self._replayer.step_data(index)
         return _VectorAction(
             selected, rule_ids, old_rows, new_rows,
             self._vertices, self._names, self._codec,
@@ -809,23 +792,47 @@ class _SuperstepDeltaLog(DeltaLog):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         log = self._log
-        selected, _rule_ids, old_rows, new_rows = log._replayer.step_data(
+        selected, _rule_ids, _old_rows, new_rows, changed_rows = log._replayer.step_data(
             log._position_index(index)
         )
-        changed_rows = (new_rows != old_rows).any(axis=1)
-        if not bool(changed_rows.any()):
-            return {}
-        if bool(changed_rows.all()):
-            changed, changed_new = selected, new_rows
-        else:
-            changed = selected[changed_rows]
-            changed_new = new_rows[changed_rows]
-        return dict(
-            zip(
-                map(log._vertices.__getitem__, changed.tolist()),
-                log._codec.decode(changed_new),
-            )
-        )
+        return _delta(selected, new_rows, changed_rows, log._vertices, log._codec)
+
+
+def _delta(selected, new_rows, changed_rows, vertices, codec) -> Dict[VertexId, VertexStateLike]:
+    """``{vertex: new state}`` of the rows one firing of ``selected`` changed
+    (``changed_rows`` as :meth:`VectorEngine._fire` returns it: the per-row
+    change mask, or None when nothing changed)."""
+    if changed_rows is None:
+        return {}
+    if bool(changed_rows.all()):
+        changed, changed_new = selected, new_rows
+    else:
+        changed, changed_new = selected[changed_rows], new_rows[changed_rows]
+    return dict(zip(map(vertices.__getitem__, changed.tolist()), codec.decode(changed_new)))
+
+
+class _EnabledRows:
+    """Enabled row positions, recomputed only when the enabled mask changes
+    (in the dense steady state — unison under the synchronous daemon — it
+    never does, so one position array serves every step)."""
+
+    __slots__ = ("_mask", "positions")
+
+    def __init__(self) -> None:
+        self._mask = None
+        self.positions = None
+
+    def update(self, rule_ids) -> bool:
+        """Track the mask of ``rule_ids``; True when :attr:`positions` was
+        rebuilt."""
+        import numpy as np
+
+        mask = rule_ids != -1
+        if self._mask is not None and np.array_equal(mask, self._mask):
+            return False
+        self._mask = mask
+        self.positions = np.flatnonzero(mask)
+        return True
 
 
 def _row_safety_monitor(stop_when):
@@ -862,16 +869,19 @@ def _row_verdicts(monitor, states, order) -> Optional[List[bool]]:
 class VectorEngine:
     """Array-state runner with the :class:`IncrementalEngine` run contract.
 
-    One instance per protocol; stateless between runs.  Each step is a
-    constant number of whole-array operations: guard evaluation through the
-    protocol's :class:`ArrayKernel`, firing through vectorized actions, and
-    O(Δ)-in-C bookkeeping for the trace.  The enabled row positions are
-    recomputed only when the enabled *membership* actually changed (in the
-    dense steady state — unison under the synchronous daemon — it never
-    does).  :meth:`run` hands the daemon a ``frozenset`` rebuilt at those
-    changes; :meth:`run_supersteps`, which consults no daemon, records the
-    position arrays themselves in a :class:`~repro.core.LazyEnabledSets`
-    and builds a set only when the execution is asked for it.
+    One instance per protocol; stateless between runs.  Two loops share
+    one firing step (:meth:`_fire`): :meth:`run` steps under any daemon,
+    and :meth:`run_supersteps` executes synchronous-daemon runs in kernel
+    blocks — :class:`IncrementalEngine` routes every synchronous run there.
+    Each step is a constant number of whole-array operations: guard
+    evaluation through the protocol's :class:`ArrayKernel`, firing through
+    vectorized actions, and O(Δ)-in-C bookkeeping for the trace.  The
+    enabled row positions are recomputed only when the enabled *membership*
+    actually changed (:class:`_EnabledRows`).  :meth:`run` hands the daemon
+    a ``frozenset`` rebuilt at those changes; :meth:`run_supersteps`, which
+    consults no daemon, records the position arrays themselves in a
+    :class:`~repro.core.LazyEnabledSets` and builds a set only when the
+    execution is asked for it.
     """
 
     __slots__ = (
@@ -936,6 +946,19 @@ class VectorEngine:
         except (TypeError, ValueError, OverflowError):
             return None
 
+    def _initial_states(self, initial: Configuration, trace: str, initial_array):
+        """The run's mutable state array: ``initial_array`` (pre-encoded by
+        the caller) or ``initial`` encoded; raises on an unknown ``trace``
+        or states outside the codec's layout."""
+        if trace not in {"full", "light"}:
+            raise SimulationError(f"unknown trace mode {trace!r}")
+        states = initial_array if initial_array is not None else self.encode_initial(initial)
+        if states is None:
+            raise SimulationError(
+                "initial configuration does not fit the protocol's array codec"
+            )
+        return states
+
     def run(
         self,
         daemon: Daemon,
@@ -955,13 +978,7 @@ class VectorEngine:
         """
         import numpy as np
 
-        if trace not in {"full", "light"}:
-            raise SimulationError(f"unknown trace mode {trace!r}")
-        states = initial_array if initial_array is not None else self.encode_initial(initial)
-        if states is None:
-            raise SimulationError(
-                "initial configuration does not fit the protocol's array codec"
-            )
+        states = self._initial_states(initial, trace, initial_array)
         index = self._index
         codec = self._codec
         kernel = self._kernel
@@ -979,14 +996,11 @@ class VectorEngine:
 
         current = initial
         rule_ids = kernel.enabled_rules(states, index)
-        mask_cached = None
+        enabled = _EnabledRows()
         enabled_fs: FrozenSet[VertexId] = frozenset()
-        enabled_pos = None
         for step_index in range(max_steps + 1):
-            mask = rule_ids != -1
-            if mask_cached is None or not np.array_equal(mask, mask_cached):
-                mask_cached = mask
-                enabled_pos = np.flatnonzero(mask)
+            if enabled.update(rule_ids):
+                enabled_pos = enabled.positions
                 if enabled_pos.size == index.n:
                     enabled_fs = frozenset(vertices)
                 else:
@@ -1018,13 +1032,9 @@ class VectorEngine:
                     dtype=np.int64,
                     count=len(selection),
                 )
-            rids = rule_ids[selected]
-            old_rows = states[selected]  # fancy indexing copies: the atomic snapshot
-            new_rows = kernel.fire(states, selected, rids, index)
-            changed_rows = (new_rows != old_rows).any(axis=1)
-            any_change = bool(changed_rows.any())
-            if any_change:
-                states[selected] = new_rows
+            rule_ids, rids, old_rows, new_rows, changed_rows = self._fire(
+                states, rule_ids, selected
+            )
 
             selections.append(selection)
             actions.append(
@@ -1033,32 +1043,13 @@ class VectorEngine:
                 )
             )
             if light:
-                if any_change:
-                    if bool(changed_rows.all()):
-                        changed, changed_new = selected, new_rows
-                    else:
-                        changed = selected[changed_rows]
-                        changed_new = new_rows[changed_rows]
-                    deltas.append(
-                        dict(
-                            zip(
-                                map(vertices.__getitem__, changed.tolist()),
-                                codec.decode(changed_new),
-                            )
-                        )
-                    )
-                else:
-                    deltas.append({})
+                deltas.append(_delta(selected, new_rows, changed_rows, vertices, codec))
             else:
-                if any_change:
+                if changed_rows is not None:
                     current = Configuration._from_trusted_dict(
                         dict(zip(vertices, codec.decode(states)))
                     )
                 configurations.append(current)
-            if any_change:
-                rule_ids = self._refresh_rule_ids(
-                    rule_ids, states, selected, changed_rows
-                )
 
         activations = LazyActivations(actions)
         if light:
@@ -1077,6 +1068,27 @@ class VectorEngine:
             enabled_sets=enabled_sets,
             truncated=truncated,
         )
+
+    def _fire(self, states, rule_ids, selected):
+        """Fire the cached first-enabled rules of the ``selected`` rows.
+
+        Atomic-snapshot semantics: every action reads ``states`` as it was
+        before the firing, and the new rows are written back afterwards.
+        Returns ``(rule_ids, rids, old_rows, new_rows, changed_rows)``: the
+        refreshed rule-id array, then the fired rule ids and the old/new
+        rows of ``selected`` (fresh arrays, safe to retain), and the per-row
+        change mask — None when the firing changed no row, in which case
+        ``states`` and ``rule_ids`` are left untouched.
+        """
+        rids = rule_ids[selected]
+        old_rows = states[selected]  # fancy indexing copies: the atomic snapshot
+        new_rows = self._kernel.fire(states, selected, rids, self._index)
+        changed_rows = (new_rows != old_rows).any(axis=1)
+        if not bool(changed_rows.any()):
+            return rule_ids, rids, old_rows, new_rows, None
+        states[selected] = new_rows
+        rule_ids = self._refresh_rule_ids(rule_ids, states, selected, changed_rows)
+        return rule_ids, rids, old_rows, new_rows, changed_rows
 
     def _refresh_rule_ids(self, rule_ids, states, selected, changed_rows):
         """Post-firing guard refresh: sparse when the firing was sparse.
@@ -1154,10 +1166,6 @@ class VectorEngine:
           budget without further kernel work when no ``stop_when`` needs
           per-index evaluation.
         """
-        import numpy as np
-
-        if trace not in {"full", "light"}:
-            raise SimulationError(f"unknown trace mode {trace!r}")
         if not daemon.synchronous:
             raise SimulationError(
                 "run_supersteps requires a synchronous daemon: batched "
@@ -1167,13 +1175,7 @@ class VectorEngine:
             superstep = self.DEFAULT_SUPERSTEP
         if superstep < 1:
             raise SimulationError(f"superstep cadence must be >= 1, got {superstep}")
-        states = (
-            initial_array if initial_array is not None else self.encode_initial(initial)
-        )
-        if states is None:
-            raise SimulationError(
-                "initial configuration does not fit the protocol's array codec"
-            )
+        states = self._initial_states(initial, trace, initial_array)
         index = self._index
         codec = self._codec
         kernel = self._kernel
@@ -1185,9 +1187,7 @@ class VectorEngine:
         enabled_positions: List[object] = []
         step_counts: List[int] = []
         checkpoints: Dict[int, object] = {0: states.copy()}
-        replayer = _SuperstepReplayer(
-            codec, kernel, index, checkpoints, self._refresh_rule_ids
-        )
+        replayer = _SuperstepReplayer(self, checkpoints)
         monitor = _row_safety_monitor(stop_when)
         if monitor is not None:
             verdicts = _row_verdicts(monitor, states, vertices)
@@ -1199,7 +1199,7 @@ class VectorEngine:
         # strictly sequential cursor, so the main loop's state array (which
         # runs ahead of the scanned index) is never observed by it.
         scanner = (
-            _SuperstepReplayer(codec, kernel, index, checkpoints, self._refresh_rule_ids)
+            _SuperstepReplayer(self, checkpoints)
             if stop_when is not None and monitor is None
             else None
         )
@@ -1224,14 +1224,11 @@ class VectorEngine:
         steps = 0
         truncated = True
         rule_ids = kernel.enabled_rules(states, index)
-        mask_cached = None
-        enabled_pos = None
+        enabled = _EnabledRows()
         stop_at: Optional[int] = None
         while True:
-            mask = rule_ids != -1
-            if mask_cached is None or not np.array_equal(mask, mask_cached):
-                mask_cached = mask
-                enabled_pos = np.flatnonzero(mask)
+            enabled.update(rule_ids)
+            enabled_pos = enabled.positions
             enabled_positions.append(enabled_pos)
             # Batched stop_when: at each block boundary (and at entry, for
             # index 0) replay the block just executed strictly in order and
@@ -1248,16 +1245,10 @@ class VectorEngine:
             if steps == max_steps:
                 truncated = True
                 break
-            rids = rule_ids[enabled_pos]
-            old_rows = states[enabled_pos]  # fancy indexing copies: atomic snapshot
-            new_rows = kernel.fire(states, enabled_pos, rids, index)
-            changed_rows = (new_rows != old_rows).any(axis=1)
-            any_change = bool(changed_rows.any())
-            if any_change:
-                states[enabled_pos] = new_rows
-                rule_ids = self._refresh_rule_ids(
-                    rule_ids, states, enabled_pos, changed_rows
-                )
+            rule_ids, _rids, _old_rows, _new_rows, changed_rows = self._fire(
+                states, rule_ids, enabled_pos
+            )
+            any_change = changed_rows is not None
             step_counts.append(int(enabled_pos.size))
             steps += 1
             if monitor is not None:
@@ -1311,8 +1302,7 @@ class VectorEngine:
         configurations: List[Configuration] = [initial]
         current = initial
         for step_index in range(steps):
-            _selected, _rids, old_rows, new_rows = replayer.step_data(step_index)
-            if bool((new_rows != old_rows).any()):
+            if replayer.step_data(step_index)[4] is not None:
                 current = replayer.configuration_at(step_index + 1)
             configurations.append(current)
         return Execution(

@@ -25,12 +25,16 @@ from repro.core import (
     CentralDaemon,
     Daemon,
     DistributedDaemon,
+    IncrementalEngine,
     LocallyCentralDaemon,
     RoundRobinCentralDaemon,
     Simulator,
     StarvationDaemon,
     SynchronousDaemon,
+    VectorEngine,
 )
+from repro.core.simulator import ENGINES
+from repro.exceptions import SimulationError
 from repro.graphs import random_connected_graph, ring_graph
 from repro.mutex import SSME, DijkstraTokenRing
 from repro.unison import AsynchronousUnison
@@ -130,8 +134,6 @@ EQUIVALENCE_MODES = (
     ("incremental", "light"),
     ("vector", "full"),
     ("vector", "light"),
-    ("vector-superstep", "full"),
-    ("vector-superstep", "light"),
 )
 
 
@@ -286,7 +288,7 @@ def test_engines_agree_with_stop_when(protocol_name, daemon_name, seed, threshol
         return execution, seen
 
     reference, seen_reference = runner("reference", "full")
-    for engine in ("incremental", "vector", "vector-superstep"):
+    for engine in ("incremental", "vector"):
         light, seen_light = runner(engine, "light")
         assert seen_light == seen_reference
         assert light.steps == reference.steps
@@ -372,36 +374,68 @@ class TestVectorBackendSelection:
     def test_vector_backend_used_when_numpy_present(self):
         protocol = self._protocol()
         initial = protocol.random_configuration(random.Random(3))
-        # auto + synchronous daemon + kernel → batched supersteps.
+        # auto + synchronous daemon + kernel → the vector backend.
         simulator = Simulator(protocol, SynchronousDaemon(), rng=random.Random(4))
-        assert simulator.engine == "vector-superstep"
+        assert simulator.engine == "vector"
         simulator.run(initial, max_steps=10)
-        assert simulator.last_run_backend == "vector-superstep"
-        # auto + dense-but-random daemon → single-step vector (selections
-        # are not deterministic, so supersteps do not apply).
+        assert simulator.last_run_backend == "vector"
+        # auto + dense-but-random daemon → the vector backend too.
         dense = Simulator(
             protocol, DistributedDaemon(0.9), rng=random.Random(4)
         )
         assert dense.engine == "vector"
         dense.run(initial, max_steps=10)
         assert dense.last_run_backend == "vector"
-        # An explicit single-step request is honoured even for a
-        # synchronous daemon (benchmarks compare the two paths).
-        single = Simulator(
-            protocol, SynchronousDaemon(), rng=random.Random(4), engine="vector"
-        )
-        assert single.engine == "vector"
-        single.run(initial, max_steps=10)
-        assert single.last_run_backend == "vector"
-        # An explicit superstep request under a non-synchronous daemon
-        # degrades to the single-step vector backend.
-        degraded = Simulator(
-            protocol,
-            DistributedDaemon(0.9),
-            rng=random.Random(4),
-            engine="vector-superstep",
-        )
-        assert degraded.engine == "vector"
         # Sparse daemons keep the dirty-set paths under auto selection.
         sparse = Simulator(protocol, CentralDaemon(), rng=random.Random(4))
         assert sparse.engine == "incremental"
+
+    def test_superstep_is_not_an_engine_name(self):
+        assert ENGINES == ("auto", "incremental", "vector", "reference")
+        protocol = self._protocol()
+        with pytest.raises(SimulationError) as error:
+            Simulator(protocol, SynchronousDaemon(), engine="vector-superstep")
+        assert "known: auto, incremental, vector, reference" in str(error.value)
+        with pytest.raises(SimulationError):
+            IncrementalEngine(protocol).run(
+                daemon=SynchronousDaemon(),
+                rng=random.Random(0),
+                initial=protocol.random_configuration(random.Random(3)),
+                max_steps=5,
+                backend="vector-superstep",
+            )
+
+    @pytest.mark.parametrize("trace", ["full", "light"])
+    def test_vector_runs_supersteps_exactly_under_synchronous_daemon(
+        self, trace, monkeypatch
+    ):
+        """An explicit ``engine="vector"`` under the synchronous daemon is
+        the batched superstep loop, and stays equal to the oracle."""
+        calls = {"run_supersteps": 0, "run": 0}
+        for name in calls:
+            original = getattr(VectorEngine, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(VectorEngine, name, counted)
+        protocol = self._protocol()
+        initial = protocol.random_configuration(random.Random(3))
+        reference = Simulator(
+            protocol, SynchronousDaemon(), rng=random.Random(4), engine="reference"
+        ).run(initial, max_steps=40)
+        simulator = Simulator(
+            protocol, SynchronousDaemon(), rng=random.Random(4), engine="vector", trace=trace
+        )
+        assert simulator.engine == "vector"
+        execution = simulator.run(initial, max_steps=40)
+        assert calls == {"run_supersteps": 1, "run": 0}
+        assert simulator.last_run_backend == "vector"
+        assert execution.steps == reference.steps
+        assert execution.truncated == reference.truncated
+        assert list(execution.configurations) == list(reference.configurations)
+        assert [execution.enabled_at(i) for i in range(execution.steps)] == [
+            reference.enabled_at(i) for i in range(reference.steps)
+        ]
+        assert _normalized_records(execution) == _normalized_records(reference)

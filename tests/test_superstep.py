@@ -1,10 +1,12 @@
 """Unit tests for the batched superstep execution path.
 
-The engine equivalence suite pins ``vector-superstep`` trace-for-trace
-against the reference engine through the simulator; these tests drive
+The engine equivalence suite pins the ``vector`` engine — which runs
+supersteps whenever the daemon is synchronous — trace-for-trace against
+the reference engine through the simulator; these tests drive
 :meth:`VectorEngine.run_supersteps` directly at adversarial cadences
-(superstep 1, 3, 5 against traces hundreds of steps long) and pin the
-pieces the batched loop adds over the single-step path: checkpointed
+(superstep 1, 3, 5 against traces hundreds of steps long), mostly against
+the single-step loop :meth:`VectorEngine.run` called directly as the
+oracle, and pin the pieces the batched loop adds over it: checkpointed
 replay at non-checkpoint indices, mid-block ``stop_when`` rollback,
 mid-block terminal detection, the fixed-point fast-forward, the
 vectorized sparse guard refresh (subset kernels), in-kernel safety
@@ -755,7 +757,7 @@ def test_superstep_runs_build_no_enabled_set_unless_read(factory, monkeypatch):
     execution = simulator.run(
         initial, max_steps=200, stop_when=SafetyMonitor([spec], protocol).observe
     )
-    assert simulator.last_run_backend == "vector-superstep"
+    assert simulator.last_run_backend == "vector"
     assert builds.calls == 0
     enabled = execution.enabled_at(3)
     assert builds.calls == 1

@@ -404,8 +404,8 @@ class TestBackendSelection:
 
     def test_auto_selection_is_daemon_density_aware(self):
         protocol = AsynchronousUnison(ring_graph(8), validate_parameters=False)
-        # Synchronous daemons take the batched superstep loop under auto.
-        assert Simulator(protocol, SynchronousDaemon()).engine == "vector-superstep"
+        # Synchronous daemons take the vector backend under auto.
+        assert Simulator(protocol, SynchronousDaemon()).engine == "vector"
         assert Simulator(protocol, CentralDaemon()).engine == "incremental"
         # Protocols without the capability resolve to incremental even for
         # dense daemons.  (Every shipped protocol now declares the
@@ -419,10 +419,10 @@ class TestBackendSelection:
 
         matching = NoKernelMatching(ring_graph(8))
         assert Simulator(matching, SynchronousDaemon()).engine == "incremental"
-        # The baselines themselves now take the superstep loop under auto.
+        # The baselines themselves now take the vector backend under auto.
         assert (
             Simulator(MaximalMatching(ring_graph(8)), SynchronousDaemon()).engine
-            == "vector-superstep"
+            == "vector"
         )
 
     def test_auto_selection_routes_mid_density_daemons_at_scale(self):
