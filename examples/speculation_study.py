@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from repro import SSME, DijkstraTokenRing, MutualExclusionSpec, SynchronousDaemon
-from repro.analysis import format_table, growth_exponent
+from repro.analysis import format_table
 from repro.core import worst_case_stabilization
 from repro.experiments import mutex_workload, random_configurations
 from repro.graphs import diameter, ring_graph
@@ -77,10 +79,10 @@ def main(seed: int = 3) -> None:
         )
     print(format_table(rows, title="Synchronous stabilization on rings (worst case over workloads)"))
     print()
-    ssme_exponent = growth_exponent([row["ring size n"] for row in rows], [row["SSME sync steps"] for row in rows])
-    dijkstra_exponent = growth_exponent(
-        [row["ring size n"] for row in rows], [row["Dijkstra sync steps"] for row in rows]
-    )
+    # Growth exponent: slope of the least-squares line through (log n, log steps).
+    log_n = np.log([row["ring size n"] for row in rows])
+    ssme_exponent = np.polyfit(log_n, np.log([row["SSME sync steps"] for row in rows]), 1)[0]
+    dijkstra_exponent = np.polyfit(log_n, np.log([row["Dijkstra sync steps"] for row in rows]), 1)[0]
     print(f"growth of SSME stabilization with n     : ~n^{ssme_exponent:.2f}")
     print(f"growth of Dijkstra stabilization with n : ~n^{dijkstra_exponent:.2f}")
     print()

@@ -1,15 +1,9 @@
-"""Measurement analysis and reporting helpers."""
+"""Measurement reporting helpers."""
 
-from .metrics import fit_power_law, growth_exponent, ratios, summarize, within_bound
 from .tables import format_cell, format_markdown_table, format_table
 
 __all__ = [
-    "fit_power_law",
     "format_cell",
     "format_markdown_table",
     "format_table",
-    "growth_exponent",
-    "ratios",
-    "summarize",
-    "within_bound",
 ]

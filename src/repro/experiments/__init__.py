@@ -3,7 +3,6 @@
 from .runner import ExperimentReport
 from .workloads import mutex_workload, perturbed_configurations, random_configurations
 from .faults import FAULT_MODELS, FAULT_MODEL_PARAMS, apply_fault
-from .parallel import parallel_map
 from . import (
     ablation_privilege_spacing,
     adaptive_speculation,
@@ -37,7 +36,6 @@ __all__ = [
     "fault_campaigns",
     "figure1_clock",
     "mutex_workload",
-    "parallel_map",
     "perturbed_configurations",
     "random_configurations",
     "render_experiments_markdown",

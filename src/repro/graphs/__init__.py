@@ -2,7 +2,7 @@
 
 This package provides the immutable :class:`~repro.graphs.graph.Graph` type,
 topology generators, and the structural properties (diameter, holes,
-cyclomatic characteristic, chordless paths) that parameterize the unison and
+cyclomatic characteristic) that parameterize the unison and
 mutual-exclusion protocols of the paper.
 """
 
@@ -10,13 +10,9 @@ from .graph import Graph
 from .generators import (
     TOPOLOGY_GENERATORS,
     binary_tree_graph,
-    caterpillar_graph,
-    complete_bipartite_graph,
     complete_graph,
-    erdos_renyi_graph,
     grid_graph,
     hypercube_graph,
-    lollipop_graph,
     make_topology,
     path_graph,
     petersen_graph,
@@ -25,79 +21,45 @@ from .generators import (
     ring_graph,
     single_vertex_graph,
     star_graph,
-    torus_graph,
-    wheel_graph,
 )
 from .properties import (
-    GraphProfile,
     all_pairs_distances,
-    center,
     cyclomatic_characteristic_upper_bound,
     cyclomatic_number,
     diameter,
     diameter_endpoints,
     eccentricity,
     fundamental_cycles,
-    girth,
     has_cycle,
     hole_length,
     is_ring,
     is_tree,
-    longest_chordless_path_length,
-    profile,
-    radius,
-)
-from .serialization import (
-    adjacency_matrix,
-    graph_from_dict,
-    graph_from_edge_list,
-    graph_to_dict,
-    graph_to_dot,
-    graph_to_edge_list,
 )
 
 __all__ = [
     "Graph",
-    "GraphProfile",
     "TOPOLOGY_GENERATORS",
-    "adjacency_matrix",
     "all_pairs_distances",
     "binary_tree_graph",
-    "caterpillar_graph",
-    "center",
-    "complete_bipartite_graph",
     "complete_graph",
     "cyclomatic_characteristic_upper_bound",
     "cyclomatic_number",
     "diameter",
     "diameter_endpoints",
     "eccentricity",
-    "erdos_renyi_graph",
     "fundamental_cycles",
-    "girth",
-    "graph_from_dict",
-    "graph_from_edge_list",
-    "graph_to_dict",
-    "graph_to_dot",
-    "graph_to_edge_list",
     "grid_graph",
     "has_cycle",
     "hole_length",
     "hypercube_graph",
     "is_ring",
     "is_tree",
-    "lollipop_graph",
-    "longest_chordless_path_length",
     "make_topology",
     "path_graph",
     "petersen_graph",
-    "profile",
-    "radius",
     "random_connected_graph",
     "random_tree_graph",
     "ring_graph",
     "single_vertex_graph",
     "star_graph",
-    "torus_graph",
-    "wheel_graph",
 ]

@@ -2,9 +2,9 @@
 
 The paper's protocol SSME runs on *any* communication graph (unlike
 Dijkstra's protocol which requires a ring), so the experiment harness sweeps
-a family of topologies: rings, paths, stars, complete graphs, grids, tori,
-hypercubes, random trees, Erdős–Rényi graphs, and a few named graphs with
-interesting hole structure (Petersen, lollipop, caterpillar).
+a family of topologies: rings, paths, stars, complete graphs, grids,
+hypercubes, binary and random trees, random connected graphs, and the
+Petersen graph.
 
 All generators return :class:`~repro.graphs.graph.Graph` instances whose
 vertices are the integers ``0 .. n-1`` — exactly the identifier set
@@ -25,18 +25,12 @@ __all__ = [
     "path_graph",
     "star_graph",
     "complete_graph",
-    "complete_bipartite_graph",
     "grid_graph",
-    "torus_graph",
     "hypercube_graph",
     "binary_tree_graph",
     "random_tree_graph",
-    "erdos_renyi_graph",
     "random_connected_graph",
     "petersen_graph",
-    "lollipop_graph",
-    "caterpillar_graph",
-    "wheel_graph",
     "single_vertex_graph",
     "TOPOLOGY_GENERATORS",
     "make_topology",
@@ -86,15 +80,6 @@ def complete_graph(n: int) -> Graph:
     return Graph(range(n), edges)
 
 
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    """The complete bipartite graph ``K_{a,b}`` with parts ``0..a-1`` and
-    ``a..a+b-1``."""
-    _check_n(a)
-    _check_n(b)
-    edges = [(i, a + j) for i in range(a) for j in range(b)]
-    return Graph(range(a + b), edges)
-
-
 def grid_graph(rows: int, cols: int) -> Graph:
     """A ``rows x cols`` grid (4-neighbourhood, no wrap-around)."""
     _check_n(rows)
@@ -109,21 +94,6 @@ def grid_graph(rows: int, cols: int) -> Graph:
                 edges.append((vid(r, c), vid(r, c + 1)))
             if r + 1 < rows:
                 edges.append((vid(r, c), vid(r + 1, c)))
-    return Graph(range(rows * cols), edges)
-
-
-def torus_graph(rows: int, cols: int) -> Graph:
-    """A ``rows x cols`` grid with wrap-around in both dimensions."""
-    if rows < 3 or cols < 3:
-        raise GraphError("torus requires rows >= 3 and cols >= 3")
-    def vid(r: int, c: int) -> int:
-        return r * cols + c
-
-    edges: List[Tuple[int, int]] = []
-    for r in range(rows):
-        for c in range(cols):
-            edges.append((vid(r, c), vid(r, (c + 1) % cols)))
-            edges.append((vid(r, c), vid((r + 1) % rows, c)))
     return Graph(range(rows * cols), edges)
 
 
@@ -166,29 +136,17 @@ def random_tree_graph(n: int, rng: Optional[random.Random] = None) -> Graph:
     return Graph(range(n), edges)
 
 
-def erdos_renyi_graph(n: int, p: float, rng: Optional[random.Random] = None) -> Graph:
-    """An Erdős–Rényi ``G(n, p)`` graph (possibly disconnected)."""
-    _check_n(n)
-    if not 0.0 <= p <= 1.0:
-        raise GraphError(f"edge probability must be in [0, 1], got {p}")
-    rng = rng or random.Random(0)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < p
-    ]
-    return Graph(range(n), edges)
-
-
 def random_connected_graph(n: int, p: float, rng: Optional[random.Random] = None) -> Graph:
     """A connected random graph: a random tree backbone plus ``G(n, p)`` edges.
 
     The protocols of the paper assume a connected communication graph; this
     generator guarantees connectivity while still producing non-trivial holes
-    and cycles for the unison substrate to cope with.
+    and cycles for the unison substrate to cope with.  ``p`` must lie in
+    ``[0, 1]``.
     """
     _check_n(n)
+    if not 0.0 <= p <= 1.0:
+        raise GraphError(f"edge probability must be in [0, 1], got {p}")
     rng = rng or random.Random(0)
     backbone = random_tree_graph(n, rng)
     edges = set(backbone.edges)
@@ -205,46 +163,6 @@ def petersen_graph() -> Graph:
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return Graph(range(10), outer + inner + spokes)
-
-
-def lollipop_graph(clique_size: int, path_length: int) -> Graph:
-    """A clique on ``clique_size`` vertices with a path of ``path_length``
-    extra vertices attached — large diameter with a dense core."""
-    _check_n(clique_size, 2)
-    if path_length < 0:
-        raise GraphError("path_length must be non-negative")
-    edges = [(i, j) for i in range(clique_size) for j in range(i + 1, clique_size)]
-    prev = clique_size - 1
-    for k in range(path_length):
-        nxt = clique_size + k
-        edges.append((prev, nxt))
-        prev = nxt
-    return Graph(range(clique_size + path_length), edges)
-
-
-def caterpillar_graph(spine_length: int, legs_per_vertex: int) -> Graph:
-    """A caterpillar: a path spine with ``legs_per_vertex`` leaves per spine
-    vertex.  Trees of this shape exercise the BFS-tree baseline."""
-    _check_n(spine_length)
-    if legs_per_vertex < 0:
-        raise GraphError("legs_per_vertex must be non-negative")
-    edges = [(i, i + 1) for i in range(spine_length - 1)]
-    next_id = spine_length
-    for s in range(spine_length):
-        for _ in range(legs_per_vertex):
-            edges.append((s, next_id))
-            next_id += 1
-    return Graph(range(next_id), edges)
-
-
-def wheel_graph(n: int) -> Graph:
-    """A wheel: a cycle on ``n-1`` vertices all connected to hub ``0``."""
-    _check_n(n, 4)
-    rim = list(range(1, n))
-    edges = [(0, v) for v in rim]
-    for idx, v in enumerate(rim):
-        edges.append((v, rim[(idx + 1) % len(rim)]))
-    return Graph(range(n), edges)
 
 
 #: Named topology factories used by the experiment harness.  Each maps a

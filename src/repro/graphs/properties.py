@@ -10,14 +10,11 @@ parameters (Section 4.1):
   requires ``alpha >= hole(g) - 2``;
 * ``cyclo(g)`` — the cyclomatic characteristic (length of the maximal cycle
   of a shortest maximal cycle basis) if the graph contains a cycle, ``2``
-  otherwise; the unison requires ``K > cyclo(g)``;
-* ``lcp(g)`` — the length of a longest elementary chordless path, which
-  appears in the synchronous unison bound ``alpha + lcp(g) + diam(g)`` used
-  in Case 3 of the Theorem 2 proof.
+  otherwise; the unison requires ``K > cyclo(g)``.
 
-``hole`` and ``lcp`` are NP-hard in general; we compute them exactly by
-bounded backtracking (fine for the experiment sizes, tens of vertices) and
-fall back on the paper's own bound ``<= n`` when the search budget is
+``hole`` is NP-hard in general; we compute it exactly by bounded
+backtracking (fine for the experiment sizes, tens of vertices) and fall
+back on the paper's own bound ``<= n`` when the search budget is
 exhausted.  ``cyclo`` is approximated from above by the longest fundamental
 cycle of a BFS-tree cycle basis, which is all the paper needs
 (``cyclo(g) <= n`` justifies ``K > n``).
@@ -36,9 +33,6 @@ __all__ = [
     "eccentricity",
     "diameter",
     "diameter_endpoints",
-    "radius",
-    "center",
-    "girth",
     "is_tree",
     "is_ring",
     "has_cycle",
@@ -46,14 +40,11 @@ __all__ = [
     "fundamental_cycles",
     "hole_length",
     "cyclomatic_characteristic_upper_bound",
-    "longest_chordless_path_length",
-    "GraphProfile",
-    "profile",
 ]
 
 #: Default number of backtracking node expansions allowed for the exact
-#: (exponential) chordless-cycle / chordless-path searches before falling
-#: back to the ``n`` upper bound.
+#: (exponential) chordless-cycle search before falling back to the ``n``
+#: upper bound.
 DEFAULT_SEARCH_BUDGET = 200_000
 
 
@@ -97,43 +88,6 @@ def diameter_endpoints(graph: Graph) -> Tuple[VertexId, VertexId]:
             if d > best[0]:
                 best = (d, u, v)
     return best[1], best[2]
-
-
-def radius(graph: Graph) -> int:
-    """Minimum eccentricity over the vertices."""
-    _require_connected(graph)
-    if graph.n == 0:
-        return 0
-    return min(eccentricity(graph, v) for v in graph.vertices)
-
-
-def center(graph: Graph) -> List[VertexId]:
-    """Vertices whose eccentricity equals the radius."""
-    _require_connected(graph)
-    if graph.n == 0:
-        return []
-    ecc = {v: eccentricity(graph, v) for v in graph.vertices}
-    rad = min(ecc.values())
-    return [v for v in graph.vertices if ecc[v] == rad]
-
-
-def girth(graph: Graph) -> Optional[int]:
-    """Length of a shortest cycle, or ``None`` if the graph is acyclic.
-
-    Computed by BFS from every vertex, which is exact for unweighted graphs
-    up to the standard plus-one ambiguity resolved by the edge-rooted BFS
-    below.
-    """
-    best: Optional[int] = None
-    for u, v in graph.edges:
-        # Shortest cycle through edge (u, v): remove it, find dist(u, v).
-        pruned = graph.without_edge(u, v)
-        dist = pruned.bfs_distances(u)
-        if v in dist:
-            cycle_len = dist[v] + 1
-            if best is None or cycle_len < best:
-                best = cycle_len
-    return best
 
 
 def has_cycle(graph: Graph) -> bool:
@@ -292,111 +246,3 @@ def cyclomatic_characteristic_upper_bound(graph: Graph) -> int:
     cycles = fundamental_cycles(graph)
     longest = max((len(c) for c in cycles), default=2)
     return min(longest, graph.n)
-
-
-def longest_chordless_path_length(graph: Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> int:
-    """``lcp(g)``: number of edges of a longest elementary chordless path.
-
-    Used by the synchronous unison bound ``alpha + lcp(g) + diam(g)`` quoted
-    in Case 3 of the Theorem 2 proof.  Falls back to ``n`` when the search
-    budget is exhausted.
-    """
-    adjacency = {v: graph.neighbors(v) for v in graph.vertices}
-    best = 0
-    expansions = 0
-    exact = True
-
-    def extend(path: List[VertexId]) -> None:
-        nonlocal best, expansions, exact
-        if expansions > budget:
-            exact = False
-            return
-        last = path[-1]
-        extended = False
-        for w in adjacency[last]:
-            if w in path:
-                continue
-            interior = path[:-1]
-            if any(w in adjacency[x] for x in interior):
-                continue
-            expansions += 1
-            extended = True
-            extend(path + [w])
-        if not extended:
-            best = max(best, len(path) - 1)
-
-    for start in graph.sorted_vertices():
-        extend([start])
-        if not exact:
-            return graph.n
-    return best
-
-
-class GraphProfile:
-    """A bundle of the structural parameters the protocols care about.
-
-    Computing ``hole``/``lcp`` can be expensive, so :func:`profile` lets the
-    caller opt out of the exact searches.
-    """
-
-    __slots__ = (
-        "n",
-        "m",
-        "diameter",
-        "radius",
-        "girth",
-        "is_tree",
-        "is_ring",
-        "hole",
-        "cyclo_upper_bound",
-        "lcp",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        diameter_: int,
-        radius_: int,
-        girth_: Optional[int],
-        is_tree_: bool,
-        is_ring_: bool,
-        hole: Optional[int],
-        cyclo_upper_bound: Optional[int],
-        lcp: Optional[int],
-    ) -> None:
-        self.n = n
-        self.m = m
-        self.diameter = diameter_
-        self.radius = radius_
-        self.girth = girth_
-        self.is_tree = is_tree_
-        self.is_ring = is_ring_
-        self.hole = hole
-        self.cyclo_upper_bound = cyclo_upper_bound
-        self.lcp = lcp
-
-    def as_dict(self) -> Dict[str, object]:
-        """A plain-dict view, convenient for table rendering."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        fields = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
-        return f"GraphProfile({fields})"
-
-
-def profile(graph: Graph, exact_np_hard: bool = True) -> GraphProfile:
-    """Compute a :class:`GraphProfile` for a connected graph."""
-    _require_connected(graph)
-    return GraphProfile(
-        n=graph.n,
-        m=graph.m,
-        diameter_=diameter(graph),
-        radius_=radius(graph),
-        girth_=girth(graph),
-        is_tree_=is_tree(graph),
-        is_ring_=is_ring(graph),
-        hole=hole_length(graph) if exact_np_hard else None,
-        cyclo_upper_bound=cyclomatic_characteristic_upper_bound(graph),
-        lcp=longest_chordless_path_length(graph) if exact_np_hard else None,
-    )

@@ -12,19 +12,16 @@ from .variants import (
     minimal_safe_clock_size,
     minimal_safe_spacing,
 )
-from .metrics import ServiceMetrics, service_metrics
 
 __all__ = [
     "DijkstraTokenRing",
     "MutualExclusionSpec",
     "ParametricClockMutex",
     "SSME",
-    "ServiceMetrics",
     "critical_section_counts",
     "critical_section_events",
     "minimal_safe_clock_size",
     "minimal_safe_spacing",
-    "service_metrics",
     "ssme_clock_size",
     "ssme_privileged_value",
 ]

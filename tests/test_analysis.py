@@ -1,21 +1,8 @@
-"""Unit tests for the analysis helpers (tables and metrics)."""
+"""Unit tests for the analysis table helpers."""
 
 from __future__ import annotations
 
-import math
-
-import pytest
-
-from repro.analysis import (
-    fit_power_law,
-    format_cell,
-    format_markdown_table,
-    format_table,
-    growth_exponent,
-    ratios,
-    summarize,
-    within_bound,
-)
+from repro.analysis import format_cell, format_markdown_table, format_table
 
 
 class TestFormatCell:
@@ -69,54 +56,3 @@ class TestTables:
 
     def test_markdown_table_empty(self):
         assert format_markdown_table([]) == "(no rows)"
-
-
-class TestMetrics:
-    def test_ratios(self):
-        assert ratios([2, 4], [4, 0]) == [0.5, None]
-
-    def test_ratios_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ratios([1], [1, 2])
-
-    def test_within_bound(self):
-        assert within_bound([1, 2, 3], [1, 2, 3])
-        assert not within_bound([2], [1])
-        with pytest.raises(ValueError):
-            within_bound([1], [])
-
-    def test_fit_power_law_exact(self):
-        xs = [2, 4, 8, 16]
-        ys = [3 * x**2 for x in xs]
-        exponent, constant = fit_power_law(xs, ys)
-        assert exponent == pytest.approx(2.0)
-        assert constant == pytest.approx(3.0)
-
-    def test_growth_exponent_linear(self):
-        xs = [5, 10, 20, 40]
-        ys = [7 * x for x in xs]
-        assert growth_exponent(xs, ys) == pytest.approx(1.0)
-
-    def test_fit_power_law_requires_two_points(self):
-        with pytest.raises(ValueError):
-            fit_power_law([1], [1])
-        with pytest.raises(ValueError):
-            fit_power_law([0, 0], [1, 1])
-        with pytest.raises(ValueError):
-            fit_power_law([2, 2], [4, 4])
-
-    def test_fit_power_law_drops_non_positive_points(self):
-        exponent, _ = fit_power_law([0, 2, 4], [5, 8, 32])
-        assert exponent == pytest.approx(2.0)
-
-    def test_summarize(self):
-        stats = summarize([1.0, 3.0, 5.0])
-        assert stats["count"] == 3
-        assert stats["min"] == 1.0
-        assert stats["max"] == 5.0
-        assert stats["mean"] == 3.0
-
-    def test_summarize_empty(self):
-        stats = summarize([])
-        assert stats["count"] == 0
-        assert math.isnan(stats["mean"])

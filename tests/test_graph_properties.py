@@ -1,4 +1,4 @@
-"""Unit tests for structural graph properties (diameter, holes, cyclo, lcp)."""
+"""Unit tests for structural graph properties (diameter, holes, cyclo)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.exceptions import GraphError
 from repro.graphs import (
     Graph,
     all_pairs_distances,
-    center,
     complete_graph,
     cyclomatic_characteristic_upper_bound,
     cyclomatic_number,
@@ -16,18 +15,13 @@ from repro.graphs import (
     diameter_endpoints,
     eccentricity,
     fundamental_cycles,
-    girth,
     grid_graph,
     has_cycle,
     hole_length,
     is_ring,
     is_tree,
-    longest_chordless_path_length,
-    lollipop_graph,
     path_graph,
     petersen_graph,
-    profile,
-    radius,
     ring_graph,
     star_graph,
 )
@@ -58,8 +52,6 @@ class TestDistances:
         g = path_graph(5)
         assert eccentricity(g, 0) == 4
         assert eccentricity(g, 2) == 2
-        assert radius(g) == 2
-        assert center(g) == [2]
 
     def test_all_pairs(self):
         g = ring_graph(6)
@@ -69,12 +61,6 @@ class TestDistances:
 
 
 class TestCycles:
-    def test_girth(self):
-        assert girth(ring_graph(7)) == 7
-        assert girth(complete_graph(4)) == 3
-        assert girth(path_graph(5)) is None
-        assert girth(petersen_graph()) == 5
-
     def test_has_cycle(self):
         assert has_cycle(ring_graph(4))
         assert not has_cycle(path_graph(4))
@@ -129,39 +115,3 @@ class TestHoleAndLcp:
         assert cyclomatic_characteristic_upper_bound(path_graph(5)) == 2
         assert cyclomatic_characteristic_upper_bound(ring_graph(6)) == 6
         assert cyclomatic_characteristic_upper_bound(complete_graph(5)) <= 5
-
-    def test_lcp_path(self):
-        # The whole path is chordless: lcp = n - 1 edges.
-        assert longest_chordless_path_length(path_graph(6)) == 5
-
-    def test_lcp_complete_graph(self):
-        # Any path of 2 edges in a complete graph has a chord.
-        assert longest_chordless_path_length(complete_graph(5)) == 1
-
-    def test_lcp_ring(self):
-        # Removing one vertex of the cycle leaves a chordless path.
-        assert longest_chordless_path_length(ring_graph(6)) == 4
-
-
-class TestProfile:
-    def test_profile_ring(self):
-        p = profile(ring_graph(6))
-        assert p.n == 6
-        assert p.m == 6
-        assert p.diameter == 3
-        assert p.girth == 6
-        assert p.hole == 6
-        assert not p.is_tree
-        assert p.is_ring
-        d = p.as_dict()
-        assert d["diameter"] == 3
-
-    def test_profile_without_exact_np_hard(self):
-        p = profile(lollipop_graph(4, 3), exact_np_hard=False)
-        assert p.hole is None
-        assert p.lcp is None
-        assert p.cyclo_upper_bound is not None
-
-    def test_profile_requires_connected(self):
-        with pytest.raises(GraphError):
-            profile(Graph([0, 1], []))

@@ -142,6 +142,7 @@ class TestWorkerPool:
     def test_sequential_matches_map(self):
         with WorkerPool() as pool:
             assert pool.run(abs, [-1, 2, -3]) == [1, 2, 3]
+            assert pool.run(abs, []) == []
             assert not pool.parallel
 
     def test_parallel_preserves_order(self):

@@ -1,58 +1,13 @@
-"""Tests for the opt-in process-parallel sweep helper.
+"""Tests for the opt-in process-parallel theorem sweeps.
 
 The contract under test: ``workers=`` must never change any reported
 number — the task lists carry pre-drawn seeds, so sequential and parallel
-execution aggregate identical results — and the helper itself must be an
-order-preserving map with a zero-overhead sequential default.
+execution aggregate identical results.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments import theorem2_sync_upper, theorem3_async_upper
-from repro.experiments.parallel import parallel_map
-
-
-def _square(x):
-    return x * x
-
-
-def _reciprocal(x):
-    return 1 / x
-
-
-class TestParallelMap:
-    def test_sequential_default_preserves_order(self):
-        assert parallel_map(_square, [3, 1, 2]) == [9, 1, 4]
-        assert parallel_map(_square, [], workers=4) == []
-        assert parallel_map(_square, [5], workers=4) == [25]
-
-    def test_parallel_preserves_order(self):
-        assert parallel_map(_square, list(range(7)), workers=3) == [
-            x * x for x in range(7)
-        ]
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_map(_square, [1], workers=-1)
-
-    def test_worker_failure_names_the_task(self):
-        from repro.exceptions import JobError
-
-        with pytest.raises(JobError) as info:
-            parallel_map(_reciprocal, [2, 1, 0, 5])
-        message = str(info.value)
-        assert "task 2" in message
-        assert "0" in message
-        assert isinstance(info.value.__cause__, ZeroDivisionError)
-
-    def test_worker_failure_in_subprocess_names_the_task(self):
-        from repro.exceptions import JobError
-
-        with pytest.raises(JobError) as info:
-            parallel_map(_reciprocal, [2, 1, 0, 5], workers=2)
-        assert "ZeroDivisionError" in str(info.value)
 
 
 class TestTheoremDriversParallel:

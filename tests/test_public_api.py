@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import pkgutil
 
 import pytest
 
@@ -49,21 +50,13 @@ class TestTopLevelExports:
             assert issubclass(exc, ReproError)
 
 
+SUBPACKAGES = sorted(
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+)
+
+
 class TestSubpackages:
-    @pytest.mark.parametrize(
-        "module",
-        [
-            "repro.graphs",
-            "repro.clocks",
-            "repro.core",
-            "repro.unison",
-            "repro.mutex",
-            "repro.baselines",
-            "repro.lowerbound",
-            "repro.analysis",
-            "repro.experiments",
-        ],
-    )
+    @pytest.mark.parametrize("module", SUBPACKAGES)
     def test_subpackage_all_resolves(self, module):
         mod = importlib.import_module(module)
         assert mod.__doc__, f"{module} must have a module docstring"
