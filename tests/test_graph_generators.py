@@ -59,6 +59,36 @@ class TestBasicShapes:
         assert g.m == 10
         assert all(g.degree(v) == 4 for v in g.vertices)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ring_graph(0),
+            lambda: path_graph(0),
+            lambda: star_graph(0),
+            lambda: complete_graph(0),
+            lambda: binary_tree_graph(0),
+            lambda: random_tree_graph(0),
+            lambda: random_connected_graph(0, 0.5),
+            lambda: grid_graph(0, 3),
+            lambda: grid_graph(3, 0),
+            lambda: hypercube_graph(-1),
+        ],
+        ids=[
+            "ring",
+            "path",
+            "star",
+            "complete",
+            "binary_tree",
+            "random_tree",
+            "random_connected",
+            "grid_rows",
+            "grid_cols",
+            "hypercube",
+        ],
+    )
+    def test_empty_sizes_rejected(self, build):
+        with pytest.raises(GraphError):
+            build()
 
 
 class TestGridsAndCubes:
@@ -93,6 +123,28 @@ class TestTreesAndRandom:
         with pytest.raises(GraphError):
             random_connected_graph(5, p)
 
+    def test_random_connected_accepts_probability_zero(self):
+        # p = 0 adds no edge: the result is exactly the random tree backbone.
+        g = random_connected_graph(12, 0.0, random.Random(4))
+        assert g == random_tree_graph(12, random.Random(4))
+        assert is_tree(g)
+
+    def test_random_connected_accepts_probability_one(self):
+        g = random_connected_graph(7, 1.0, random.Random(4))
+        assert g == complete_graph(7)
+
+    def test_random_connected_determinism(self):
+        g1 = random_connected_graph(10, 0.3, random.Random(7))
+        g2 = random_connected_graph(10, 0.3, random.Random(7))
+        assert g1 == g2
+        assert random_connected_graph(10, 0.3) == random_connected_graph(10, 0.3)
+
+    def test_random_connected_contains_its_backbone(self):
+        for seed in range(5):
+            g = random_connected_graph(15, 0.2, random.Random(seed))
+            backbone = random_tree_graph(15, random.Random(seed))
+            assert all(g.has_edge(u, v) for u, v in backbone.edges)
+
     def test_random_connected_is_connected(self):
         for seed in range(5):
             g = random_connected_graph(15, 0.1, random.Random(seed))
@@ -104,7 +156,33 @@ class TestTreesAndRandom:
         assert all(g.degree(v) == 3 for v in g.vertices)
 
 
+#: Vertex count of each registered family at target size ``n``: most hit
+#: ``n`` exactly, the grid rounds to a square, the hypercube to a power of 2.
+EXPECTED_SIZE = {
+    "ring": lambda n: n,
+    "path": lambda n: n,
+    "star": lambda n: n,
+    "complete": lambda n: n,
+    "binary_tree": lambda n: n,
+    "random": lambda n: n,
+    "grid": lambda n: round(n ** 0.5) ** 2,
+    "hypercube": lambda n: 1 << (n - 1).bit_length(),
+}
+
+
 class TestTopologyRegistry:
+    @pytest.mark.parametrize("name", sorted(TOPOLOGY_GENERATORS))
+    def test_registered_topology_size(self, name):
+        for n in (5, 9, 16):
+            assert make_topology(name, n).n == EXPECTED_SIZE[name](n)
+
+    @pytest.mark.parametrize("name", sorted(TOPOLOGY_GENERATORS))
+    def test_registered_topology_is_deterministic(self, name):
+        assert make_topology(name, 12) == make_topology(name, 12)
+
+    def test_every_family_has_an_expected_size(self):
+        assert set(EXPECTED_SIZE) == set(TOPOLOGY_GENERATORS)
+
     @pytest.mark.parametrize("name", sorted(TOPOLOGY_GENERATORS))
     def test_every_registered_topology_is_connected(self, name):
         g = make_topology(name, 9)

@@ -18,11 +18,14 @@ from repro.graphs import (
     grid_graph,
     has_cycle,
     hole_length,
+    hypercube_graph,
     is_ring,
     is_tree,
+    make_topology,
     path_graph,
     petersen_graph,
     ring_graph,
+    single_vertex_graph,
     star_graph,
 )
 
@@ -52,6 +55,29 @@ class TestDistances:
         g = path_graph(5)
         assert eccentricity(g, 0) == 4
         assert eccentricity(g, 2) == 2
+
+    def test_eccentricity_requires_connected(self):
+        with pytest.raises(GraphError):
+            eccentricity(Graph([0, 1], []), 0)
+
+    def test_diameter_endpoints_single_vertex(self):
+        assert diameter_endpoints(single_vertex_graph()) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "name, diam",
+        [
+            ("ring", 4),
+            ("path", 8),
+            ("star", 2),
+            ("complete", 1),
+            ("grid", 4),
+            ("binary_tree", 5),
+            ("hypercube", 4),
+        ],
+    )
+    def test_diameter_of_registered_topologies(self, name, diam):
+        # diam(g) at target size 9 (the grid is 3x3, the hypercube Q4).
+        assert diameter(make_topology(name, 9)) == diam
 
     def test_all_pairs(self):
         g = ring_graph(6)
@@ -110,6 +136,20 @@ class TestHoleAndLcp:
         # 8-cycle avoids the centre vertex and is chordless.
         assert hole_length(grid_graph(2, 3)) == 4
         assert hole_length(grid_graph(3, 3)) == 8
+
+    def test_hole_of_hypercube(self):
+        # Q3 minus two antipodal vertices is a chordless 6-cycle.
+        assert hole_length(hypercube_graph(3)) == 6
+
+    @pytest.mark.parametrize(
+        "graph",
+        [ring_graph(7), complete_graph(6), petersen_graph(), grid_graph(3, 3), hypercube_graph(3)],
+        ids=["ring7", "complete6", "petersen", "grid3x3", "hypercube3"],
+    )
+    def test_exhausted_budget_falls_back_to_n(self, graph):
+        # Without search budget the paper's safe bound hole(g) <= n is used.
+        assert hole_length(graph, budget=0) == graph.n
+        assert hole_length(graph) <= graph.n
 
     def test_cyclo_upper_bound(self):
         assert cyclomatic_characteristic_upper_bound(path_graph(5)) == 2

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import SynchronousDaemon, Simulator, synchronous_execution
 from repro.exceptions import SpecificationError
-from repro.graphs import ring_graph
+from repro.graphs import make_topology, ring_graph
 from repro.mutex import (
     SSME,
     DijkstraTokenRing,
@@ -72,6 +72,17 @@ class TestCriticalSections:
             by_step.setdefault(step, []).append(vertex)
         assert all(len(vs) == 1 for vs in by_step.values())
 
+    def test_counts_require_privilege_aware_protocol(self):
+        unison = AsynchronousUnison(ring_graph(4))
+        execution = synchronous_execution(unison, unison.legitimate_configuration(0), 3)
+        with pytest.raises(SpecificationError):
+            critical_section_counts(execution, unison)
+
+    def test_no_critical_section_from_default_configuration(self):
+        protocol = SSME(ring_graph(4))
+        execution = synchronous_execution(protocol, protocol.default_configuration(), 2)
+        assert critical_section_counts(execution, protocol) == {v: 0 for v in range(4)}
+
     def test_counts(self):
         protocol = SSME(ring_graph(4))
         horizon = 2 * protocol.K + 10
@@ -90,6 +101,37 @@ class TestCriticalSections:
         )
         counts = critical_section_counts(execution, protocol)
         assert all(count >= 1 for count in counts.values())
+
+
+def _service_gaps(execution, protocol):
+    """Steps between consecutive critical sections of the same vertex."""
+    steps = {}
+    for step, vertex in critical_section_events(execution, protocol):
+        steps.setdefault(vertex, []).append(step)
+    return steps, [b - a for s in steps.values() for a, b in zip(s, s[1:])]
+
+
+class TestServiceGaps:
+    @pytest.mark.parametrize("name", ["ring", "path", "star", "complete", "grid", "random"])
+    def test_synchronous_ssme_serves_each_vertex_once_per_period(self, name):
+        # Under the synchronous daemon every clock ticks each step, so a
+        # vertex is privileged exactly once every K steps.
+        protocol = SSME(make_topology(name, 6))
+        execution = synchronous_execution(
+            protocol, protocol.legitimate_configuration(0), 2 * protocol.K + 10
+        )
+        steps, gaps = _service_gaps(execution, protocol)
+        assert set(steps) == set(protocol.graph.vertices)
+        assert gaps and all(gap == protocol.K for gap in gaps)
+
+    def test_synchronous_dijkstra_is_round_robin(self):
+        protocol = DijkstraTokenRing.on_ring(6)
+        execution = synchronous_execution(
+            protocol, protocol.legitimate_configuration(0), 4 * protocol.graph.n
+        )
+        steps, gaps = _service_gaps(execution, protocol)
+        assert set(steps) == set(protocol.graph.vertices)
+        assert gaps and all(gap == protocol.graph.n for gap in gaps)
 
 
 class TestLiveness:
