@@ -67,8 +67,9 @@ class Daemon(ABC):
     #: activates a constant fraction of the enabled set (the synchronous
     #: daemon, dense distributed daemons).  The engine's automatic backend
     #: selection runs such daemons on the vectorized array-state kernel
-    #: when the protocol declares one; sparse daemons keep the dirty-set
-    #: paths.  Purely advisory — every backend is correct for every daemon.
+    #: when the protocol declares one and the graph has at least 32
+    #: vertices; sparse daemons keep the dirty-set paths.  Purely advisory
+    #: — every backend is correct for every daemon.
     dense: bool = False
 
     #: True only for daemons whose selection is *always* the full enabled

@@ -72,13 +72,19 @@ __all__ = [
 _MID_DENSITY = 0.2
 _MID_DENSITY_MIN_N = 512
 
+#: Automatic-backend size floor for dense daemons: below ``_DENSE_MIN_N``
+#: vertices the fixed per-step cost of the array operations exceeds the
+#: dict engine's whole-graph rescan, so dense daemons keep the dict paths.
+_DENSE_MIN_N = 32
+
 
 def prefers_array_backend(daemon: Daemon, n: int) -> bool:
     """Whether automatic backend selection should try the array kernel for
-    ``daemon`` on a graph of ``n`` vertices (dense daemons always; known
-    mid-density daemons on large graphs)."""
+    ``daemon`` on a graph of ``n`` vertices (dense daemons once
+    ``n >= _DENSE_MIN_N``; known mid-density daemons once
+    ``n >= _MID_DENSITY_MIN_N``)."""
     if daemon.dense:
-        return True
+        return n >= _DENSE_MIN_N
     return (
         daemon.density is not None
         and daemon.density >= _MID_DENSITY
@@ -110,10 +116,10 @@ class IncrementalEngine:
     dense (batch) regime with a handful of array operations.  ``run``'s
     ``backend`` parameter picks between them — ``"auto"`` (default) uses
     the vector backend exactly when the protocol declares one and
-    :func:`prefers_array_backend` approves the daemon (dense daemons
-    always, known mid-density daemons on large graphs); ``"vector"``
-    requests it for any daemon; both degrade gracefully to the dict paths
-    when the capability is missing.
+    :func:`prefers_array_backend` approves the daemon on the graph's size
+    (dense daemons from 32 vertices, known mid-density daemons from 512);
+    ``"vector"`` requests it for any daemon and any size; both degrade
+    gracefully to the dict paths when the capability is missing.
     """
 
     __slots__ = (
@@ -195,11 +201,12 @@ class IncrementalEngine:
         runs in batched supersteps (:meth:`VectorEngine.run_supersteps`)
         whenever the daemon is synchronous — a deterministic schedule with
         no per-step decision — and step by step (:meth:`VectorEngine.run`)
-        otherwise; ``"auto"`` (default) picks the array backend for daemons
-        :func:`prefers_array_backend` approves when the protocol declares
-        one.  Requests the capability cannot honour (no kernel, states
-        outside the codec's layout) fall back to the dict paths — never an
-        error.
+        otherwise; ``"auto"`` (default) picks the array backend when the
+        protocol declares one and :func:`prefers_array_backend` approves
+        the daemon on this graph's size, so small graphs keep the dict
+        paths even under dense daemons.  Requests the capability cannot
+        honour (no kernel, states outside the codec's layout) fall back to
+        the dict paths — never an error.
         """
         if trace not in {"full", "light"}:
             raise SimulationError(f"unknown trace mode {trace!r}")

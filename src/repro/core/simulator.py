@@ -73,13 +73,14 @@ class Simulator:
         Source of randomness for the daemon (and nothing else).  Passing a
         seeded ``random.Random`` makes runs reproducible.
     engine:
-        ``"auto"`` (default) picks the fastest sound backend for the
-        (protocol, daemon) pair: the NumPy-vectorized array-state kernel
-        (:mod:`repro.core.vector`) when the protocol declares one and the
-        daemon makes dense (or known mid-density) selections
-        (:func:`~repro.core.engine.prefers_array_backend`); the dirty-set
-        incremental engine otherwise.  ``"incremental"`` forces the
-        dict-based dirty-set engine of :mod:`repro.core.engine`;
+        ``"auto"`` (default) picks a sound backend by a size-aware policy
+        (:func:`~repro.core.engine.prefers_array_backend`): the
+        NumPy-vectorized array-state kernel (:mod:`repro.core.vector`) when
+        the protocol declares one and the daemon makes dense selections on
+        a graph of at least 32 vertices (or known mid-density selections on
+        one of at least 512); the dirty-set incremental engine otherwise.
+        ``"incremental"`` forces the dict-based dirty-set engine of
+        :mod:`repro.core.engine`;
         ``"vector"`` requests the array-state kernel for any daemon,
         falling back to ``"incremental"`` when the capability is
         unavailable.  The kernel runs in batched supersteps
@@ -138,8 +139,8 @@ class Simulator:
         # keyword and their enabledness chain must be honoured).
         self._prepared_ok = protocol_supports_incremental(protocol)
         # Backend resolution (graceful, never an error): the array-state
-        # kernel needs the protocol capability; "auto"
-        # additionally requires the daemon to make dense selections — the
+        # kernel needs the protocol capability; "auto" additionally requires
+        # the daemon to make dense selections on a large enough graph — the
         # regime where whole-array steps beat the dirty-set paths.  The
         # probe constructs the incremental engine (which runs would build
         # anyway) so the kernel it instantiates is the one that runs.

@@ -365,9 +365,11 @@ def measure_stabilization(
         the suffix starting at the observed stabilization point.
     engine:
         Simulation engine ("auto" by default — the vectorized array-state
-        backend for dense daemons when the protocol declares one, the
-        incremental dirty-set engine otherwise; "reference" replays the
-        naive semantics, useful to cross-check a measurement).
+        backend when the protocol declares one and
+        :func:`~repro.core.engine.prefers_array_backend` approves the
+        daemon on the graph's size, the incremental dirty-set engine
+        otherwise; "reference" replays the naive semantics, useful to
+        cross-check a measurement).
     trace:
         Trace mode of the underlying run.  With ``"light"`` the safety
         monitor reads live views and no configuration is materialized by

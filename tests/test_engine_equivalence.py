@@ -372,7 +372,15 @@ class TestVectorBackendSelection:
         return AsynchronousUnison(ring_graph(10), validate_parameters=False)
 
     def test_vector_backend_used_when_numpy_present(self):
-        protocol = self._protocol()
+        # Below the dense-daemon size floor, auto keeps the dict paths.
+        small = self._protocol()
+        small_initial = small.random_configuration(random.Random(3))
+        for daemon in (SynchronousDaemon(), DistributedDaemon(0.9)):
+            simulator = Simulator(small, daemon, rng=random.Random(4))
+            assert simulator.engine == "incremental"
+            simulator.run(small_initial, max_steps=10)
+            assert simulator.last_run_backend == "dict"
+        protocol = AsynchronousUnison(ring_graph(32), validate_parameters=False)
         initial = protocol.random_configuration(random.Random(3))
         # auto + synchronous daemon + kernel → the vector backend.
         simulator = Simulator(protocol, SynchronousDaemon(), rng=random.Random(4))

@@ -259,3 +259,37 @@ class TestAdaptiveSpeculationJobs:
         assert (spec.param("kind"), spec.graph_item("n")) == (kind, n)
         assert spec.seeds == seeds
         assert spec.spec_key == key
+
+
+class TestEngineChoiceDoesNotChangeReports:
+    """The engine a sweep resolves to is a speed choice only: ``auto``
+    (dict paths below the dense-daemon size floor), ``vector`` and the
+    ``reference`` oracle report identical rows."""
+
+    ENGINES = ("auto", "vector", "reference")
+
+    def test_theorem2_rows_identical_across_engines(self):
+        reports = [
+            theorem2_sync_upper.run_experiment(
+                sweep=[("ring", 6), ("star", 9), ("complete", 8)],
+                random_configurations_per_graph=3,
+                engine=engine,
+            )
+            for engine in self.ENGINES
+        ]
+        assert reports[0].passed
+        for report in reports[1:]:
+            assert report.rows == reports[0].rows
+            assert report.summary == reports[0].summary
+
+    def test_theorem3_rows_identical_across_engines(self):
+        reports = [
+            theorem3_async_upper.run_experiment(
+                sweep=[("ring", 5)], random_configurations_per_graph=2, engine=engine
+            )
+            for engine in self.ENGINES
+        ]
+        assert reports[0].passed
+        for report in reports[1:]:
+            assert report.rows == reports[0].rows
+            assert report.summary == reports[0].summary

@@ -21,6 +21,7 @@ from repro.core import (
     ArrayStateView,
     CentralDaemon,
     Configuration,
+    DistributedDaemon,
     GraphIndex,
     IntCodec,
     IntTupleCodec,
@@ -30,6 +31,11 @@ from repro.core import (
     SynchronousDaemon,
     VectorEngine,
     protocol_supports_vector,
+)
+from repro.core.engine import (
+    _DENSE_MIN_N,
+    IncrementalEngine,
+    prefers_array_backend,
 )
 from repro.exceptions import SimulationError
 from repro.baselines import BfsSpanningTree, MaximalMatching
@@ -403,10 +409,16 @@ class TestBackendSelection:
             VectorEngine(protocol)
 
     def test_auto_selection_is_daemon_density_aware(self):
-        protocol = AsynchronousUnison(ring_graph(8), validate_parameters=False)
+        protocol = AsynchronousUnison(ring_graph(32), validate_parameters=False)
         # Synchronous daemons take the vector backend under auto.
         assert Simulator(protocol, SynchronousDaemon()).engine == "vector"
         assert Simulator(protocol, CentralDaemon()).engine == "incremental"
+        # Below the dense-daemon size floor they keep the dict paths.
+        small = AsynchronousUnison(ring_graph(8), validate_parameters=False)
+        simulator = Simulator(small, SynchronousDaemon())
+        assert simulator.engine == "incremental"
+        simulator.run(small.random_configuration(random.Random(1)), max_steps=5)
+        assert simulator.last_run_backend == "dict"
         # Protocols without the capability resolve to incremental even for
         # dense daemons.  (Every shipped protocol now declares the
         # capability, so strip it off a subclass.)
@@ -417,22 +429,55 @@ class TestBackendSelection:
             def array_kernel(self):
                 return None
 
-        matching = NoKernelMatching(ring_graph(8))
+        matching = NoKernelMatching(ring_graph(32))
         assert Simulator(matching, SynchronousDaemon()).engine == "incremental"
         # The baselines themselves now take the vector backend under auto.
         assert (
-            Simulator(MaximalMatching(ring_graph(8)), SynchronousDaemon()).engine
+            Simulator(MaximalMatching(ring_graph(32)), SynchronousDaemon()).engine
             == "vector"
         )
 
     def test_auto_selection_routes_mid_density_daemons_at_scale(self):
         """p >= 0.2 daemons take the array backend once n is large enough
         for the vectorized sparse refresh to win (prefers_array_backend)."""
-        from repro.core import DistributedDaemon
-
         small = AsynchronousUnison(ring_graph(16), validate_parameters=False)
         assert Simulator(small, DistributedDaemon(0.4)).engine == "incremental"
         big = AsynchronousUnison(ring_graph(512), validate_parameters=False)
         assert Simulator(big, DistributedDaemon(0.4)).engine == "vector"
         # Below the density floor the dirty-set engine keeps the run.
         assert Simulator(big, DistributedDaemon(0.05)).engine == "incremental"
+
+
+    @pytest.mark.parametrize(
+        "daemon",
+        [SynchronousDaemon(), DistributedDaemon(0.5), DistributedDaemon(0.9)],
+        ids=["sd", "dd0.5", "dd0.9"],
+    )
+    def test_dense_daemons_prefer_arrays_from_size_floor(self, daemon):
+        assert not prefers_array_backend(daemon, _DENSE_MIN_N - 1)
+        assert prefers_array_backend(daemon, _DENSE_MIN_N)
+
+    def test_mid_density_and_central_daemons_ignore_dense_floor(self):
+        mid = DistributedDaemon(0.4)
+        for n in (_DENSE_MIN_N - 1, _DENSE_MIN_N, 511):
+            assert not prefers_array_backend(mid, n)
+        assert prefers_array_backend(mid, 512)
+        for n in (_DENSE_MIN_N - 1, _DENSE_MIN_N, 512, 10**6):
+            assert not prefers_array_backend(CentralDaemon(), n)
+
+    @pytest.mark.parametrize(
+        "n, expected", [(_DENSE_MIN_N - 1, "dict"), (_DENSE_MIN_N, "vector")]
+    )
+    def test_engine_auto_backend_flips_at_size_floor(self, n, expected):
+        protocol = AsynchronousUnison(ring_graph(n), validate_parameters=False)
+        initial = protocol.random_configuration(random.Random(2))
+        engine = IncrementalEngine(protocol)
+        for daemon in (SynchronousDaemon(), DistributedDaemon(0.5)):
+            engine.run(
+                daemon=daemon,
+                rng=random.Random(3),
+                initial=initial,
+                max_steps=10,
+                backend="auto",
+            )
+            assert engine.last_run_backend == expected
