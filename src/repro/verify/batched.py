@@ -32,13 +32,15 @@ array programs over the PR 3 kernel machinery:
   Python-int keys are materialized only at result boundaries (lassos,
   ``value_of`` lookups, dict-system conversion), never per explored state.
 
-* **Array frontier and solver** (:func:`solve_arrays`).  Per-state
-  successor dedup is one stable ``lexsort`` per round; the node registry
-  is one dict probed and filled by C-level ``map``/``update`` passes over
-  the round's keys, with no per-state Python loop.  The attractor peel and
-  backward value iteration run over CSR successor/predecessor arrays
-  (int32 ids below 2³¹ nodes) and boolean visited masks, touching every
-  edge a constant number of times with no per-state Python.
+* **Array frontier and solver** (:func:`solve_arrays`).  One stable
+  ``lexsort`` per round both dedups each parent's successors and lists
+  the round's distinct keys; only those probe the node registry, an
+  open-addressing table of int32 node ids over the explored states' index
+  rows, stored one unsigned byte per vertex where the domains allow.  The
+  attractor peel and backward value iteration run over CSR
+  successor/predecessor arrays (int32 ids below 2³¹ nodes) and boolean
+  visited masks, touching every edge a constant number of times with no
+  per-state Python.
 
 Exactness is preserved end to end: the kernels are pinned to the stock
 engine semantics by the engine equivalence suites, the expansion replicates
@@ -103,9 +105,10 @@ class ArrayPacker:
 
     Built once per (space, codec) pair.  ``indices`` are the mixed-radix
     digits of the packed key (vertex ``i``'s state index in its declared
-    domain); ``rows`` are the codec's ``(n, width)`` int64 representation
-    the kernels compute on; ``key columns`` are the grouped digits used for
-    state identity and canonical-order comparisons.
+    domain), held in :attr:`digit_dtype`; ``rows`` are the codec's
+    ``(n, width)`` int64 representation the kernels compute on; ``key
+    columns`` are the grouped digits used for state identity and
+    canonical-order comparisons.
     """
 
     __slots__ = (
@@ -119,11 +122,12 @@ class ArrayPacker:
         "_stride",
         "_span",
         "_table",
-        "_group_starts",
+        "_key_matrix",
         "_group_bases",
         "_local_mult",
         "_group_of",
         "_radices",
+        "_digit_dtype",
     )
 
     def __init__(self, space: StateSpace, codec: ArrayCodec) -> None:
@@ -136,6 +140,7 @@ class ArrayPacker:
         n = self._n = len(vertices)
         width = self._width = codec.width
         self._radices = tuple(len(domain) for domain in domains)
+        self._digit_dtype = np.min_scalar_type(max(self._radices) - 1)
 
         # Per-vertex domain rows through the codec (the codec is the single
         # source of truth for the integer layout the kernels see).
@@ -205,10 +210,13 @@ class ArrayPacker:
             local_mult[i] = product
             group_of[i] = len(group_starts) - 1
             product *= radix
-        self._group_starts = np.asarray(group_starts, dtype=np.int64)
         self._group_bases = [space.multipliers[start] for start in group_starts]
         self._local_mult = local_mult
         self._group_of = group_of
+        # Key columns as one integer matrix product: column c sums the
+        # group's digits times their local multipliers.
+        self._key_matrix = np.zeros((n, len(group_starts)), dtype=np.int64)
+        self._key_matrix[np.arange(n), group_of] = local_mult
 
     # ------------------------------------------------------------------ #
     # Geometry
@@ -227,6 +235,12 @@ class ArrayPacker:
     def columns(self) -> int:
         """Number of key columns (1 when :attr:`packable`)."""
         return len(self._group_bases)
+
+    @property
+    def digit_dtype(self):
+        """The narrowest unsigned dtype holding every domain index (uint8
+        for domains of at most 256 states): the dtype of index matrices."""
+        return self._digit_dtype
 
     # ------------------------------------------------------------------ #
     # Conversions
@@ -274,11 +288,11 @@ class ArrayPacker:
         """``(m, C)`` grouped key columns of an ``(m, n)`` index matrix.
 
         Lexicographic order over the columns (most-significant column
-        last) equals numeric order of the full mixed-radix keys.
+        last) equals numeric order of the full mixed-radix keys.  The
+        product with the int64 key matrix widens narrow index digits, so
+        the columns are int64 whatever the index dtype.
         """
-        import numpy as np
-
-        return np.add.reduceat(indices * self._local_mult, self._group_starts, axis=1)
+        return indices @ self._key_matrix
 
     def python_keys(self, indices) -> List[int]:
         """Exact Python-int mixed-radix keys of an ``(m, n)`` index matrix
@@ -298,7 +312,7 @@ class ArrayPacker:
         :meth:`python_keys`; per-key divmod, for small seed regions)."""
         import numpy as np
 
-        out = np.empty((len(keys), self._n), dtype=np.int64)
+        out = np.empty((len(keys), self._n), dtype=self._digit_dtype)
         for row, key in enumerate(keys):
             for i, radix in enumerate(self._radices):
                 key, out[row, i] = divmod(key, radix)
@@ -343,8 +357,9 @@ class ArrayExploredSystem:
     The array analogue of :class:`~repro.verify.ExploredSystem`: node ids
     are dense ints in discovery order; ``indptr``/``succ`` form the CSR
     successor relation (terminal nodes carry their self-loop explicitly);
-    ``index_matrix`` holds every node's domain indices so keys and
-    configurations can be materialized on demand.
+    ``index_matrix`` holds every node's domain indices, in the packer's
+    :attr:`~ArrayPacker.digit_dtype`, so keys and configurations can be
+    materialized on demand.
     """
 
     __slots__ = (
@@ -631,7 +646,7 @@ class BatchedTransitionSystem:
                 frontier_idx = self._dense_indices(state.expanded, stop)
             else:
                 frontier_idx = state.rows_slice(state.expanded, stop)
-            frontier_ids = np.arange(state.expanded, stop, dtype=np.int64)
+            frontier_ids = np.arange(state.expanded, stop, dtype=state.node_dtype)
             self._expand_batch(state, frontier_idx, frontier_ids)
             state.expanded = stop
         return state.finish(initial_nodes)
@@ -640,7 +655,7 @@ class BatchedTransitionSystem:
         import numpy as np
 
         keys = np.arange(start, stop, dtype=np.int64)
-        out = np.empty((stop - start, self._base_index.n), dtype=np.int64)
+        out = np.empty((stop - start, self._base_index.n), dtype=self._packer.digit_dtype)
         remainder = keys
         for i, radix in enumerate(self._packer._radices):
             remainder, out[:, i] = np.divmod(remainder, radix)
@@ -673,7 +688,7 @@ class BatchedTransitionSystem:
         counts = np.bincount(pair_parent, minlength=F)
         terminal = counts == 0
         safe = self._safe_of(frontier_idx, rows3d)
-        succ_parent = succ_nodes = np.empty(0, dtype=np.int64)
+        succ_parent = succ_nodes = np.empty(0, dtype=state.node_dtype)
         if pairs.size:
             # Selection s fires pairs fired[sel_start[s]:sel_start[s + 1]].
             sel_parent, fired, sel_start = self._selections(pair_parent, counts)
@@ -694,7 +709,8 @@ class BatchedTransitionSystem:
             if self._reducer is None:
                 # Key delta: a selection's key columns are its parent's plus
                 # Σ (new − old digit) · local multiplier, added into each
-                # fired row's column group.
+                # fired row's column group.  ``digits`` is int64, so the
+                # difference with the narrow parent digits cannot wrap.
                 delta = (digits - frontier_idx.ravel()[pairs]) * packer._local_mult[pair_row]
                 group = packer._group_of[pair_row[fired]]
                 cols = packer.key_columns(frontier_idx)[sel_parent]
@@ -709,10 +725,14 @@ class BatchedTransitionSystem:
                 cols = packer.key_columns(succ_idx)
                 rows_at = succ_idx.__getitem__
             # Per-parent first-occurrence dedup, preserving the deterministic
-            # selection order (the dict path's dict.fromkeys over encode_many).
-            keep = _first_occurrences(cols, sel_parent)
+            # selection order (the dict path's dict.fromkeys over encode_many);
+            # the same sort lists the round's distinct keys for the registry.
+            keep, distinct, first, inverse = _sort_keys(cols, sel_parent)
             succ_parent = sel_parent[keep]
-            succ_nodes = state.nodes_of(cols[keep], lambda fresh: rows_at(keep[fresh]))
+            if state.dense:
+                succ_nodes = cols[keep, 0]
+            else:
+                succ_nodes = state.register(distinct, first, rows_at)[inverse[keep]]
 
         # Interleave with terminal self-loops, in frontier order.
         out_counts = np.where(terminal, 1, np.bincount(succ_parent, minlength=F))
@@ -844,103 +864,77 @@ class _ExpansionState:
 
     __slots__ = (
         "_system",
-        "_packer",
         "exhaustive",
         "dense",
+        "node_dtype",
         "node_count",
         "expanded",
-        "_node_of",
+        "_registry",
         "_count_chunks",
         "_succ_chunks",
         "_safe_chunks",
         "_terminal_chunks",
-        "_rows_buf",
-        "_rows_len",
     )
 
     def __init__(self, system: BatchedTransitionSystem, exhaustive: bool) -> None:
+        import numpy as np
+
         packer = system._packer
         self._system = system
-        self._packer = packer
         self.exhaustive = exhaustive
         # Dense mode: exhaustive, no quotient, keys fit int64 — node id IS
         # the key, no registry at all.
         self.dense = exhaustive and system._reducer is None and packer.packable
         self.node_count = system.space.size if self.dense else 0
+        bound = self.node_count if self.dense else system._max_states
+        self.node_dtype = np.int32 if bound < (1 << 31) else np.int64
         self.expanded = 0
-        self._node_of: Dict = {}
+        self._registry = None if self.dense else _NodeRegistry(packer, self.node_dtype)
         self._count_chunks: List = []
         self._succ_chunks: List = []
         self._safe_chunks: List = []
         self._terminal_chunks: List = []
-        self._rows_buf = None
-        self._rows_len = 0
 
     # -- node registry -------------------------------------------------- #
     def nodes_of(self, cols, rows_at):
         """Node ids of ``(m, C)`` (canonical) key columns, assigning fresh
         ids to unseen keys in first-occurrence order; ``rows_at(positions)``
         supplies the index rows of the positions that discover a node."""
+        _, distinct, first, inverse = _sort_keys(cols)
+        return self.register(distinct, first, rows_at)[inverse]
+
+    def register(self, distinct, first, rows_at):
+        """Node ids of ``(u, C)`` distinct key columns whose first
+        occurrences in the round sit at positions ``first``: unseen keys
+        get fresh ids in order of ``first``, with the index rows
+        ``rows_at(positions)`` supplies."""
         import numpy as np
 
-        if self.dense:
-            return cols[:, 0]
-        labels = _labels(cols)
-        start = self.node_count
-        # One pass probes and claims: an unseen label keeps the provisional
-        # id ``start + its first position``, renumbered densely below.
-        nodes = np.fromiter(
-            map(self._node_of.setdefault, labels, range(start, start + len(labels))),
-            dtype=np.int64,
-            count=len(labels),
-        )
-        discovers = nodes == np.arange(start, start + len(labels))
-        fresh = np.flatnonzero(discovers)
+        ids, ends = self._registry.find(distinct)
+        fresh = np.flatnonzero(ids < 0)
         if fresh.size:
-            new = nodes >= start
-            nodes[new] = start + (np.cumsum(discovers) - 1)[nodes[new] - start]
-            self._node_of.update(
-                zip([labels[i] for i in fresh.tolist()], range(start, start + fresh.size))
-            )
-            self._append_rows(rows_at(fresh))
-            self.node_count += int(fresh.size)
-            if self.node_count > self._system._max_states:
+            if self.node_count + fresh.size > self._system._max_states:
                 raise VerificationError(
                     f"reachable region exceeds the exploration cap of "
                     f"{self._system._max_states} configurations"
                 )
-        return nodes
-
-    def _append_rows(self, rows) -> None:
-        # Amortized-doubling append: the registry grows by a few thousand
-        # rows per round over potentially millions of rounds' worth of
-        # nodes, so per-round reallocation must stay O(appended), not
-        # O(total).
-        import numpy as np
-
-        m = rows.shape[0]
-        need = self._rows_len + m
-        if self._rows_buf is None:
-            capacity = max(4096, m)
-            self._rows_buf = np.empty((capacity, rows.shape[1]), dtype=np.int64)
-        elif need > self._rows_buf.shape[0]:
-            capacity = self._rows_buf.shape[0]
-            while capacity < need:
-                capacity *= 2
-            grown = np.empty((capacity, self._rows_buf.shape[1]), dtype=np.int64)
-            grown[: self._rows_len] = self._rows_buf[: self._rows_len]
-            self._rows_buf = grown
-        self._rows_buf[self._rows_len : need] = rows
-        self._rows_len = need
+            fresh = fresh[np.argsort(first[fresh])]
+            ids[fresh] = self._registry.add(
+                distinct[fresh], rows_at(first[fresh]), ends[fresh]
+            )
+            self.node_count += int(fresh.size)
+        return ids
 
     def rows_slice(self, start: int, stop: int):
         """Index-matrix rows of nodes ``start..stop`` (discovery order)."""
-        return self._rows_buf[start:stop]
+        return self._registry.rows(start, stop)
 
     # -- per-round output ----------------------------------------------- #
     def commit(self, out_counts, succ_out, safe, terminal) -> None:
-        self._count_chunks.append(out_counts)
-        self._succ_chunks.append(succ_out)
+        import numpy as np
+
+        self._count_chunks.append(out_counts.astype(np.int32))
+        self._succ_chunks.append(succ_out.astype(self.node_dtype, copy=False))
         self._safe_chunks.append(safe)
         self._terminal_chunks.append(terminal)
 
@@ -951,14 +945,14 @@ class _ExpansionState:
         counts = (
             np.concatenate(self._count_chunks)
             if self._count_chunks
-            else np.empty(0, dtype=np.int64)
+            else np.empty(0, dtype=np.int32)
         )
         indptr = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         succ = (
             np.concatenate(self._succ_chunks)
             if self._succ_chunks
-            else np.empty(0, dtype=np.int64)
+            else np.empty(0, dtype=self.node_dtype)
         )
         safe = (
             np.concatenate(self._safe_chunks)
@@ -976,15 +970,11 @@ class _ExpansionState:
                     system._dense_indices(start, min(start + (1 << 16), self.node_count))
                     for start in range(0, self.node_count, 1 << 16)
                 ]
-            ) if self.node_count else np.empty((0, system._base_index.n), dtype=np.int64)
-        else:
-            index_matrix = (
-                self.rows_slice(0, self.node_count)
-                if self.node_count
-                else np.empty((0, system._base_index.n), dtype=np.int64)
+            ) if self.node_count else np.empty(
+                (0, system._base_index.n), dtype=system._packer.digit_dtype
             )
-        if succ.size and self.node_count < (1 << 31):
-            succ = succ.astype(np.int32)
+        else:
+            index_matrix = self.rows_slice(0, self.node_count)
         return ArrayExploredSystem(
             space=system.space,
             daemon_class=system.daemon_class,
@@ -1000,35 +990,177 @@ class _ExpansionState:
         )
 
 
-def _labels(cols) -> List:
-    """Registry labels of ``(m, C)`` key columns: Python ints for one
-    column, otherwise each row's raw bytes (built and hashed in C, and
-    lighter than int tuples)."""
-    import numpy as np
+#: Slots of a fresh node registry's hash table (a power of two, at least
+#: 2; the table doubles whenever it would pass half full).
+_REGISTRY_SLOTS = 1 << 12
 
-    if cols.shape[1] == 1:
-        return cols[:, 0].tolist()
-    row_bytes = np.dtype((np.void, cols.itemsize * cols.shape[1]))
-    return np.ascontiguousarray(cols).view(row_bytes).ravel().tolist()
+#: Consecutive hash-table slots one vectorized probe pass reads per key.
+_PROBE_WINDOW = 8
+
+#: Fibonacci-hashing multiplier (2⁶⁴ over the golden ratio, odd).
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _first_occurrences(cols, parents):
-    """Ascending positions of each parent's first occurrence of every
-    distinct ``(m, C)`` key-column row, for nondecreasing ``parents``.
+class _NodeRegistry:
+    """The explored states, in node-id order: their index rows in one
+    growing ``(N, n)`` array of :attr:`ArrayPacker.digit_dtype`, and an
+    open-addressing hash table (linear probing, at most half full) of node
+    ids keyed on each row's key columns.
 
-    One stable ``lexsort`` over the key columns keeps equal keys in
-    position order, hence in parent order, so equal (parent, key) pairs
-    end up adjacent with the first occurrence leading its run.
+    A probe compares key columns recomputed from the stored row, so no key
+    array is kept beside the rows.  Lookups and insertions are vectorized
+    over a round's distinct keys: each pass reads a window of
+    ``_PROBE_WINDOW`` slots for every unresolved key, and an insertion
+    starts from the empty slot its key's lookup ended on.
+    """
+
+    __slots__ = ("_packer", "_rows", "count", "_table", "_shift")
+
+    def __init__(self, packer: ArrayPacker, node_dtype) -> None:
+        import numpy as np
+
+        self._packer = packer
+        self._rows = np.empty((0, packer._n), dtype=packer.digit_dtype)
+        self.count = 0
+        self._table = np.full(_REGISTRY_SLOTS, -1, dtype=node_dtype)
+        self._shift = 64 - (_REGISTRY_SLOTS.bit_length() - 1)
+
+    def rows(self, start: int, stop: int):
+        """Index rows of nodes ``start..stop``."""
+        return self._rows[start:stop]
+
+    def find(self, keys):
+        """``(ids, ends)`` of ``(u, C)`` key-column rows: each key's node id
+        (``-1`` if absent) and the slot its lookup ended on (for an absent
+        key, the empty slot :meth:`add` first tries)."""
+        import numpy as np
+
+        ids = np.full(keys.shape[0], -1, dtype=self._table.dtype)
+        ends = np.empty(keys.shape[0], dtype=np.int64)
+        active = np.arange(keys.shape[0])
+        slot = self._slots_of(keys)
+        while active.size:
+            # A lookup ends at its key's node or at an empty slot,
+            # whichever comes first in the window.
+            window = self._window(slot).ravel()
+            node = self._table[window]
+            occupied = np.flatnonzero(node >= 0)
+            stored = self._packer.key_columns(np.take(self._rows, node[occupied], axis=0))
+            owner = np.take(active, occupied // _PROBE_WINDOW)
+            same = (stored == np.take(keys, owner, axis=0)).all(axis=1)
+            stop = node < 0
+            stop[occupied[same]] = True
+            at = stop.reshape(-1, _PROBE_WINDOW).argmax(axis=1)
+            at += np.arange(0, node.size, _PROBE_WINDOW)
+            ids[active] = node[at]
+            ends[active] = window[at]
+            probing = ~stop[at]
+            active = active[probing]
+            slot = slot[probing] + _PROBE_WINDOW
+        return ids, ends
+
+    def add(self, keys, rows, ends):
+        """Register ``(m, C)`` distinct unseen keys with their index rows
+        and the ``ends`` :meth:`find` gave them; returns their node ids,
+        consecutive in the given order."""
+        import numpy as np
+
+        start, m = self.count, keys.shape[0]
+        need = start + m
+        if need > self._rows.shape[0]:
+            # Amortized doubling: a round appends a few thousand rows to a
+            # registry of potentially millions.
+            capacity = max(4096, self._rows.shape[0])
+            while capacity < need:
+                capacity *= 2
+            grown = np.empty((capacity, self._rows.shape[1]), dtype=self._rows.dtype)
+            grown[:start] = self._rows[:start]
+            self._rows = grown
+        self._rows[start:need] = rows
+        self.count = need
+        ids = np.arange(start, need, dtype=self._table.dtype)
+        if 2 * need > self._table.size:
+            self._rehash()
+        else:
+            self._insert(ids, ends)
+        return ids
+
+    def _rehash(self) -> None:
+        import numpy as np
+
+        slots = self._table.size
+        while 2 * self.count > slots:
+            slots *= 2
+        self._table = np.full(slots, -1, dtype=self._table.dtype)
+        self._shift = 64 - (slots.bit_length() - 1)
+        for start in range(0, self.count, 1 << 16):
+            stop = min(start + (1 << 16), self.count)
+            self._insert(
+                np.arange(start, stop, dtype=self._table.dtype),
+                self._slots_of(self._packer.key_columns(self._rows[start:stop])),
+            )
+
+    def _insert(self, ids, slot) -> None:
+        # Every id claims the first free slot in its window from ``slot``
+        # on; ids that collide on one free slot leave one winner, and the
+        # others look again from that slot.
+        import numpy as np
+
+        while ids.size:
+            window = self._window(slot)
+            free = self._table[window] < 0
+            has_free = free.any(axis=1)
+            target = window[np.arange(ids.size), free.argmax(axis=1)]
+            self._table[target[has_free]] = ids[has_free]
+            waiting = self._table[target] != ids
+            ids = ids[waiting]
+            slot = np.where(has_free, target, slot + _PROBE_WINDOW)[waiting]
+
+    def _window(self, slot):
+        """The ``(m, W)`` slots probed next from each of ``slot``."""
+        import numpy as np
+
+        return (slot[:, None] + np.arange(_PROBE_WINDOW)) & (self._table.size - 1)
+
+    def _slots_of(self, keys):
+        """Home slots of ``(m, C)`` key columns: the top bits of a
+        multiplicative hash mixing every column."""
+        import numpy as np
+
+        h = np.zeros(keys.shape[0], dtype=np.uint64)
+        for c in range(keys.shape[1]):
+            h ^= keys[:, c].astype(np.uint64)
+            h *= np.uint64(_GOLDEN)
+        return (h >> np.uint64(self._shift)).astype(np.int64)
+
+
+def _sort_keys(cols, parents=None):
+    """One stable ``lexsort`` of a round's ``(m, C)`` key columns.
+
+    Returns ``(keep, distinct, first, inverse)``: ``distinct`` holds the
+    distinct key rows in key order, ``first`` the position of each one's
+    first occurrence, and ``inverse`` every position's rank among them.
+    With nondecreasing ``parents``, ``keep`` holds the ascending positions
+    of each parent's first occurrence of every distinct key (else
+    ``None``): the stable sort keeps equal keys in position order, hence
+    in parent order, so equal (parent, key) pairs end up adjacent with the
+    first occurrence leading its run.
     """
     import numpy as np
 
     order = np.lexsort(cols.T)
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = False
-    for key in (*cols.T, parents):
-        ordered = key[order]
-        starts[1:] |= ordered[1:] != ordered[:-1]
-    return np.sort(order[starts])
+    ordered = cols[order]
+    new_key = np.ones(order.size, dtype=bool)
+    new_key[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.cumsum(new_key) - 1
+    keep = None
+    if parents is not None:
+        owner = parents[order]
+        starts = new_key.copy()
+        starts[1:] |= owner[1:] != owner[:-1]
+        keep = np.sort(order[starts])
+    return keep, ordered[new_key], order[new_key], inverse
 
 
 # ---------------------------------------------------------------------- #
@@ -1172,20 +1304,21 @@ def solve_arrays(system: ArrayExploredSystem) -> ArrayGameSolution:
     N = system.state_count
     indptr = system.indptr
     succ = system.succ
-    counts = indptr[1:] - indptr[:-1]
+    # Per-node edge counts as int32: a node's out- or in-degree is far
+    # below 2³¹, and these N-sized arrays stay alive through the solve.
+    counts = (indptr[1:] - indptr[:-1]).astype(np.int32)
 
     # Reverse CSR: predecessors of every node, as int32 ids when they fit.
     node_dtype = np.int32 if N < (1 << 31) else np.int64
     order = np.argsort(succ, kind="stable")
     pred_src = np.repeat(np.arange(N, dtype=node_dtype), counts)[order]
     del order
+    pred_counts = np.bincount(succ, minlength=N).astype(np.int32)
     pred_indptr = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(np.bincount(succ, minlength=N), out=pred_indptr[1:])
+    np.cumsum(pred_counts, out=pred_indptr[1:])
 
     def predecessors_of(nodes):
-        starts = pred_indptr[nodes]
-        stops = pred_indptr[nodes + 1]
-        return pred_src[_concat_ranges_np(starts, stops)]
+        return _segments_of(pred_src, pred_indptr, pred_counts, nodes)
 
     # 1. Greatest fixpoint: peel unsafe-reachable states off the safe set.
     legitimate = system.safe.copy()
@@ -1207,17 +1340,16 @@ def solve_arrays(system: ArrayExploredSystem) -> ArrayGameSolution:
     frontier = np.nonzero(legitimate)[0]
     while frontier.size:
         preds = predecessors_of(frontier)
-        np.subtract.at(pending, preds, 1)
+        # A typed scalar keeps ``subtract.at`` on its int32 fast path.
+        np.subtract.at(pending, preds, np.int32(1))
         candidates = preds[(pending[preds] == 0) & ~finalized[preds]]
         if not candidates.size:
             break
         candidates = np.unique(candidates)
         # Every successor of a candidate is finalized; V = 1 + max.
-        starts = indptr[candidates]
-        stops = indptr[candidates + 1]
-        segment_values = values[succ[_concat_ranges_np(starts, stops)]]
+        segment_values = values[_segments_of(succ, indptr, counts, candidates)]
         boundaries = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(stops - starts)]
+            [np.zeros(1, dtype=np.int64), np.cumsum(counts[candidates])]
         )[:-1]
         values[candidates] = 1 + np.maximum.reduceat(segment_values, boundaries)
         finalized[candidates] = True
@@ -1297,6 +1429,20 @@ class _ArrayKeySet:
         keys = self._solution.system.keys()
         legitimate = self._solution.legitimate
         return (key for node, key in enumerate(keys) if legitimate[node])
+
+
+def _segments_of(targets, indptr, counts, nodes):
+    """``targets[indptr[v]:indptr[v + 1]]`` concatenated over ascending
+    ``nodes``.  A large gather selects through a byte mask over every
+    edge instead of building eight-byte range indices, which would cost
+    more memory once the gathered edges pass an eighth of the total."""
+    import numpy as np
+
+    if 8 * int(counts[nodes].sum()) < targets.size:
+        return targets[_concat_ranges_np(indptr[nodes], indptr[nodes + 1])]
+    mask = np.zeros(counts.size, dtype=bool)
+    mask[nodes] = True
+    return targets[np.repeat(mask, counts)]
 
 
 def _concat_ranges_np(starts, stops):

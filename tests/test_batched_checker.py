@@ -14,7 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -37,7 +39,7 @@ from repro.verify import (
     solve_arrays,
     verify_stabilization,
 )
-from repro.verify.batched import ArrayPacker
+from repro.verify.batched import ArrayPacker, _ExpansionState, _NodeRegistry
 from repro.verify.symmetry import SymmetryReducer
 
 DAEMON_CLASSES = ("synchronous", "central", "distributed")
@@ -59,6 +61,7 @@ def assert_systems_identical(protocol, specification, daemon_class, initial=None
         dict_system = dict_ts.explore(initial)
         batched_system = batched_ts.explore(initial)
     as_dict = batched_system.to_explored_system()
+    assert len(as_dict.keys) == len(set(as_dict.keys)) == len(dict_system.keys)
     assert set(dict_system.keys) == set(as_dict.keys)
     assert dict_system.successors == as_dict.successors
     assert dict_system.safe == as_dict.safe
@@ -437,3 +440,265 @@ def test_out_of_domain_successor_raises_through_expansion(daemon_class, mode):
             system.explore(
                 [protocol.configuration({v: 0 for v in protocol.graph.vertices})]
             )
+
+
+# --------------------------------------------------------------------- #
+# The exploration cap
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("engine", ["dict", "batched"])
+@pytest.mark.parametrize("daemon_class", ["synchronous", "central"])
+def test_exploration_cap_boundary(monkeypatch, engine, daemon_class):
+    # The ssme-ring5 region holds exactly PINNED_SYSTEMS' state count: a
+    # cap of that many passes, one fewer raises -- and the batched
+    # registry never grows past the cap before raising.
+    protocol = SSME(ring_graph(5))
+    specification = MutualExclusionSpec(protocol)
+    region = mutex_workload(protocol, random.Random(3), random_count=3)
+    states = PINNED_SYSTEMS[("ssme-ring5-region", daemon_class)][0]
+    grown_to = []
+    add = _NodeRegistry.add
+
+    def recording_add(self, keys, rows, ends):
+        grown_to.append(self.count + keys.shape[0])
+        return add(self, keys, rows, ends)
+
+    monkeypatch.setattr(_NodeRegistry, "add", recording_add)
+    result = verify_stabilization(
+        protocol, specification, daemon_class, region,
+        engine=engine, max_states=states,
+    )
+    assert result.state_count == states
+    grown_to.clear()
+    with pytest.raises(VerificationError, match="reachable region exceeds"):
+        verify_stabilization(
+            protocol, specification, daemon_class, region,
+            engine=engine, max_states=states - 1,
+        )
+    assert max(grown_to, default=0) <= states - 1
+
+
+# --------------------------------------------------------------------- #
+# The node registry against a dict oracle
+# --------------------------------------------------------------------- #
+def _registry_state(protocol):
+    system = BatchedTransitionSystem(
+        protocol, MutualExclusionSpec(protocol), "central"
+    )
+    return _ExpansionState(system, exhaustive=False), system._packer
+
+
+def _random_indices(packer, rng, count):
+    radices = np.asarray(packer._radices)
+    return (rng.random((count, radices.size)) * radices).astype(packer.digit_dtype)
+
+
+def _check_against_oracle(state, packer, batches):
+    """Feed index batches through ``nodes_of`` and compare every id with a
+    dict assigning ids in first-occurrence order."""
+    oracle = {}
+    for idx in batches:
+        expected = [
+            oracle.setdefault(key, len(oracle)) for key in packer.python_keys(idx)
+        ]
+        nodes = state.nodes_of(packer.key_columns(idx), idx.__getitem__)
+        assert nodes.tolist() == expected
+    assert state.node_count == len(oracle)
+    stored = state.rows_slice(0, state.node_count)
+    assert packer.python_keys(stored) == list(oracle)
+
+
+class TestNodeRegistry:
+    @pytest.mark.parametrize(
+        "slots, golden",
+        [
+            pytest.param(None, None, id="default"),
+            pytest.param(2, None, id="tiny-table"),
+            pytest.param(2, 0, id="tiny-table-colliding-hash"),
+        ],
+    )
+    @pytest.mark.parametrize("capacity", [None, 30], ids=["one-column", "multi-column"])
+    def test_ids_match_dict_oracle(self, monkeypatch, slots, golden, capacity):
+        if slots is not None:
+            monkeypatch.setattr("repro.verify.batched._REGISTRY_SLOTS", slots)
+        if golden is not None:
+            # Every key hashes to slot 0: one probe cluster holds them all.
+            monkeypatch.setattr("repro.verify.batched._GOLDEN", golden)
+        if capacity is not None:
+            monkeypatch.setattr("repro.verify.batched._GROUP_CAPACITY", capacity)
+        protocol = DijkstraTokenRing.on_ring(5, K=5)
+        state, packer = _registry_state(protocol)
+        assert packer.columns == (1 if capacity is None else 3)
+        rng = np.random.default_rng(4)
+        # 3125 states: later batches repeat earlier keys and repeat keys
+        # within themselves.
+        batches = [_random_indices(packer, rng, size) for size in (1, 7, 300, 2500, 900)]
+        _check_against_oracle(state, packer, batches)
+        if slots is not None:
+            assert state._registry._table.size >= 2 * state.node_count > slots
+
+    def test_duplicates_in_one_batch_share_an_id(self):
+        protocol = DijkstraTokenRing.on_ring(4, K=5)
+        state, packer = _registry_state(protocol)
+        a, b, c = ([digit] * 4 for digit in (1, 3, 2))
+        idx = np.asarray([a, b, a, c, b, a], dtype=packer.digit_dtype)
+        nodes = state.nodes_of(packer.key_columns(idx), idx.__getitem__)
+        assert nodes.tolist() == [0, 1, 0, 2, 1, 0]
+        # The rows stored are those of the first occurrences.
+        assert state.rows_slice(0, 3).tolist() == [a, b, c]
+        again = np.asarray([c, [4] * 4, a], dtype=packer.digit_dtype)
+        nodes = state.nodes_of(packer.key_columns(again), again.__getitem__)
+        assert nodes.tolist() == [2, 3, 0]
+
+    def test_registry_find_and_add(self, monkeypatch):
+        monkeypatch.setattr("repro.verify.batched._REGISTRY_SLOTS", 2)
+        protocol = DijkstraTokenRing.on_ring(3, K=5)
+        _, packer = _registry_state(protocol)
+        registry = _NodeRegistry(packer, np.int32)
+        idx = np.asarray([[0, 1, 2], [4, 4, 4]], dtype=packer.digit_dtype)
+        keys = packer.key_columns(idx)
+        ids, ends = registry.find(keys)
+        assert ids.tolist() == [-1, -1]
+        assert registry.add(keys, idx, ends).tolist() == [0, 1]
+        assert registry.find(keys)[0].tolist() == [0, 1]
+        assert registry.count == 2
+        assert registry.rows(0, 2).tolist() == idx.tolist()
+
+    @pytest.mark.parametrize("name, daemon_class", [
+        ("ssme-ring5-region", "synchronous"),
+        ("ssme-ring5-region", "central"),
+        ("unison-ring4-quotient-full", "distributed"),
+    ])
+    def test_table_layout_leaves_discovery_order_pinned(
+        self, monkeypatch, name, daemon_class
+    ):
+        # Collisions, rehashes during exploration and the probe window
+        # change where ids sit in the table, never which ids are given.
+        monkeypatch.setattr("repro.verify.batched._REGISTRY_SLOTS", 2)
+        monkeypatch.setattr("repro.verify.batched._GOLDEN", 0)
+        test_discovery_order_is_pinned(name, daemon_class)
+
+    @pytest.mark.parametrize("daemon_class", DAEMON_CLASSES)
+    def test_tiny_colliding_table_matches_dict_path(self, monkeypatch, daemon_class):
+        monkeypatch.setattr("repro.verify.batched._REGISTRY_SLOTS", 2)
+        monkeypatch.setattr("repro.verify.batched._GOLDEN", 0)
+        monkeypatch.setattr("repro.verify.batched._GROUP_CAPACITY", 30)
+        protocol = DijkstraTokenRing.on_ring(5, K=5)
+        initial = [
+            protocol.configuration(
+                {v: (v * 2) % protocol.K for v in protocol.graph.vertices}
+            ),
+            protocol.configuration({v: 0 for v in protocol.graph.vertices}),
+        ]
+        assert_systems_identical(
+            protocol, MutualExclusionSpec(protocol), daemon_class, initial
+        )
+
+
+# --------------------------------------------------------------------- #
+# Narrow index rows
+# --------------------------------------------------------------------- #
+class TestNarrowIndexRows:
+    def test_ssme_and_dijkstra_rows_are_uint8(self):
+        ssme = SSME(ring_graph(6))
+        region = mutex_workload(ssme, random.Random(3), random_count=3)
+        system = BatchedTransitionSystem(
+            ssme, MutualExclusionSpec(ssme), "synchronous"
+        ).explore(region)
+        assert system.index_matrix.dtype == np.uint8
+        dijkstra = DijkstraTokenRing.on_ring(4, K=5)
+        batched = BatchedTransitionSystem(
+            dijkstra, MutualExclusionSpec(dijkstra), "central"
+        )
+        assert batched.explore_full().index_matrix.dtype == np.uint8
+        start = dijkstra.configuration({v: 0 for v in dijkstra.graph.vertices})
+        assert batched.explore([start]).index_matrix.dtype == np.uint8
+        assert system.succ.dtype == np.int32
+
+    @pytest.mark.parametrize("K, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_digit_dtype_is_the_narrowest_that_fits(self, K, dtype):
+        protocol = DijkstraTokenRing.on_ring(3, K=K)
+        packer = ArrayPacker(StateSpace(protocol), protocol.array_codec())
+        assert packer.digit_dtype == dtype
+
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_narrow_rows_convert_like_int64_rows(self, n):
+        # ring(10) needs several key columns; ring(5) fits one.
+        protocol = SSME(ring_graph(n))
+        space = StateSpace(protocol)
+        packer = ArrayPacker(space, protocol.array_codec())
+        rng = random.Random(n)
+        configurations = [protocol.random_configuration(rng) for _ in range(40)]
+        narrow = packer.indices_of_keys(space.encode_many(configurations))
+        wide = narrow.astype(np.int64)
+        assert narrow.dtype == np.uint8
+        assert (packer.key_columns(narrow) == packer.key_columns(wide)).all()
+        assert packer.python_keys(narrow) == packer.python_keys(wide)
+        assert packer.configurations_of(narrow) == packer.configurations_of(wide)
+        assert packer.configurations_of(narrow) == configurations
+        assert (packer.rows_of(narrow) == packer.rows_of(wide)).all()
+
+    def test_canonicalization_of_narrow_rows(self):
+        protocol = AsynchronousUnison(ring_graph(4), alpha=2, K=8)
+        specification = AsynchronousUnisonSpec(protocol)
+        space = StateSpace(protocol)
+        reducer = SymmetryReducer.for_instance(protocol, specification, space)
+        packer = ArrayPacker(space, protocol.array_codec())
+        rng = random.Random(2)
+        keys = [rng.randrange(space.size) for _ in range(60)]
+        narrow = packer.indices_of_keys(keys)
+        assert narrow.dtype == np.uint8
+        canonical = reducer.canonicalize_index_matrix(narrow, packer)
+        assert (
+            canonical == reducer.canonicalize_index_matrix(narrow.astype(np.int64), packer)
+        ).all()
+        assert packer.python_keys(canonical) == reducer.canonical_keys(keys)
+
+    @pytest.mark.parametrize("daemon_class", DAEMON_CLASSES)
+    def test_key_deltas_do_not_wrap(self, daemon_class):
+        # Dijkstra's machines copy a smaller counter or step K-1 -> 0: a
+        # fired digit falls below its parent's, so the key delta is
+        # negative.  Were the difference taken in uint8 it would wrap by
+        # 256, and configurations reached that way would be registered
+        # twice.
+        protocol = DijkstraTokenRing.on_ring(4, K=5)
+        initial = [protocol.random_configuration(random.Random(seed)) for seed in range(3)]
+        system = BatchedTransitionSystem(
+            protocol, MutualExclusionSpec(protocol), daemon_class
+        ).explore(initial)
+        rows = system.index_matrix.astype(np.int64)
+        parents = np.repeat(np.arange(system.state_count), np.diff(system.indptr))
+        assert system.index_matrix.dtype == np.uint8
+        assert (rows[system.succ] < rows[parents]).any()
+        assert_systems_identical(
+            protocol, MutualExclusionSpec(protocol), daemon_class, initial
+        )
+
+
+# --------------------------------------------------------------------- #
+# Memory budget
+# --------------------------------------------------------------------- #
+#: Traced bytes per explored state at the peak of exploring and solving
+#: the SSME ring(7) central region below: measured 115, plus 25%.
+BYTES_PER_STATE_BUDGET = 144
+
+
+def test_memory_per_explored_state():
+    def certify(n):
+        protocol = SSME(ring_graph(n))
+        specification = MutualExclusionSpec(protocol)
+        region = mutex_workload(protocol, random.Random(1), random_count=6)
+        tracemalloc.start()
+        try:
+            system = BatchedTransitionSystem(
+                protocol, specification, "central"
+            ).explore(region)
+            solution = solve_arrays(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return system.state_count, solution.exact_worst_case, peak
+
+    certify(4)  # first-use allocations (lazy imports, caches) land here
+    states, worst, peak = certify(7)
+    assert (states, worst) == (31_185, 10)
+    assert peak / states <= BYTES_PER_STATE_BUDGET
