@@ -13,7 +13,9 @@ operations for protocols whose per-vertex state is a fixed small tuple of
 machine integers (unison clocks, Dijkstra/SSME token counters):
 
 * :class:`GraphIndex` — the communication graph flattened once into
-  CSR-style neighbour index arrays (``indptr``/``indices``/``edge_src``);
+  integer index arrays: a self-padded neighbour-slot table with an
+  overflow list for hub rows (``slots``/``overflow_owner``/
+  ``overflow_rows``) and CSR arrays (``indptr``/``indices``/``edge_src``);
 * :class:`ArrayCodec` — encodes a configuration into an ``(n, k)`` int64
   array and decodes rows back into exact Python states
   (:class:`IntCodec` for plain-int states, :class:`IntTupleCodec` for
@@ -127,50 +129,98 @@ def protocol_supports_vector(protocol: Protocol) -> bool:
 
 
 class GraphIndex:
-    """CSR-style integer indexing of a (fixed) communication graph.
+    """Integer indexing of a (fixed) communication graph.
+
+    Two layouts of the same adjacency live side by side:
+
+    * the **neighbour-slot table** (ELL layout), which the unison/SSME
+      kernel evaluates its guards on: ``slots[j]`` is a row-aligned array
+      holding the ``j``-th neighbour of every row, and a row with fewer
+      than ``width`` neighbours is padded with *its own position*.  A guard
+      that compares a vertex's value with each neighbour's gathers
+      ``s[slots]`` (one value row per slot) and ANDs its per-slot tests
+      across slots — no segmented reduction.  A padded entry compares a
+      row with itself, which is neutral for every guard that accepts a
+      neighbour holding the vertex's own value.  The width is the largest
+      degree at most twice the mean degree, so hub rows do not blow the
+      table up to ``n·Δ``: the entries of a row beyond ``width`` go to the
+      **overflow** list (``overflow_owner[e]`` owns neighbour
+      ``overflow_rows[e]``, sorted by owner).  The table holds at most
+      ``2·nnz`` entries and the overflow fewer than ``nnz``;
+    * the classic **CSR** arrays, for kernels that reduce per-entry values
+      (``min``/``max``/``any``/``all`` over a vertex's adjacency).
 
     Attributes
     ----------
     vertices:
-        Row position -> vertex id (same order as ``graph.vertices``).
+        Row position -> vertex id (``graph.vertices`` order unless another
+        row order is given).
     position:
         Vertex id -> row position.
+    slots:
+        ``(width, n)`` neighbour-slot table (row positions, self-padded).
+    overflow_owner, overflow_rows:
+        Adjacency entries past ``width``: owner row and neighbour row,
+        sorted by owner (empty when no row has more than ``width``
+        neighbours).
     indptr, indices:
-        Classic CSR adjacency: the neighbours of row ``i`` are
+        CSR adjacency: the neighbours of row ``i`` are
         ``indices[indptr[i]:indptr[i+1]]`` (row positions, not ids).
     edge_src:
-        Row position of the *owning* vertex for every directed adjacency
-        entry, aligned with ``indices`` — ``(edge_src[e], indices[e])``
-        enumerates every (vertex, neighbour) pair once per direction.
+        Row position of the *owning* vertex for every CSR entry, aligned
+        with ``indices``.
     """
 
-    __slots__ = ("vertices", "position", "n", "indptr", "indices", "edge_src")
+    __slots__ = (
+        "vertices",
+        "position",
+        "n",
+        "slots",
+        "overflow_owner",
+        "overflow_rows",
+        "indptr",
+        "indices",
+        "edge_src",
+    )
 
-    def __init__(self, graph: Graph) -> None:
+    def __init__(self, graph: Graph, vertices: Optional[Sequence[VertexId]] = None) -> None:
+        """Index ``graph`` with rows in ``vertices`` order (default:
+        ``graph.vertices``)."""
         import numpy as np
 
-        self.vertices: Tuple[VertexId, ...] = tuple(graph.vertices)
-        self.position: Dict[VertexId, int] = {
-            v: i for i, v in enumerate(self.vertices)
-        }
+        self.vertices: Tuple[VertexId, ...] = tuple(
+            graph.vertices if vertices is None else vertices
+        )
+        position = self.position = {v: i for i, v in enumerate(self.vertices)}
         n = self.n = len(self.vertices)
         degrees = [0] * n
         columns: List[int] = []
         for i, v in enumerate(self.vertices):
-            neighbors = [self.position[u] for u in graph.neighbors(v)]
+            neighbors = [position[u] for u in graph.neighbors(v)]
             degrees[i] = len(neighbors)
             columns.extend(neighbors)
+        degree = np.asarray(degrees, dtype=np.int64)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.asarray(degrees, dtype=np.int64), out=self.indptr[1:])
+        np.cumsum(degree, out=self.indptr[1:])
         self.indices = np.asarray(columns, dtype=np.int64)
-        self.edge_src = np.repeat(
-            np.arange(n, dtype=np.int64), np.asarray(degrees, dtype=np.int64)
-        )
+        self.edge_src = np.repeat(np.arange(n, dtype=np.int64), degree)
 
-    # Per-vertex reductions over incident adjacency entries.  ``edge_flags``
-    # is a boolean array aligned with ``indices``/``edge_src``; vertices
-    # without neighbours reduce over the empty set (any -> False,
-    # all -> True), matching Python's any()/all().
+        # The largest degree at most twice the mean degree: n·width <= 2·nnz,
+        # and only rows of more than twice the mean degree (hubs) overflow.
+        # The minimum degree always qualifies.
+        fits = degree * n <= 2 * int(self.indices.size)
+        width = int(degree[fits].max()) if n else 0
+        rank = np.arange(self.indices.size, dtype=np.int64) - self.indptr[self.edge_src]
+        in_table = rank < width
+        self.slots = np.tile(np.arange(n, dtype=np.int64), (width, 1))
+        self.slots[rank[in_table], self.edge_src[in_table]] = self.indices[in_table]
+        self.overflow_owner = self.edge_src[~in_table]
+        self.overflow_rows = self.indices[~in_table]
+
+    # Per-vertex reductions over the CSR entries.  ``edge_flags`` is a
+    # boolean array aligned with ``indices``/``edge_src``; vertices without
+    # neighbours reduce over the empty set (any -> False, all -> True),
+    # matching Python's any()/all().
     def any_over_edges(self, edge_flags) -> "object":
         """Per-vertex ``any`` of a per-adjacency-entry boolean array."""
         import numpy as np
@@ -183,53 +233,45 @@ class GraphIndex:
 
         return np.bincount(self.edge_src[~edge_flags], minlength=self.n) == 0
 
-    # Subset (sparse-refresh) indexing: the same reductions restricted to
-    # the adjacency entries of a few rows, so kernels can re-evaluate guards
-    # for only the vertices a firing could have affected.
-    def subset_edges(self, rows):
-        """Adjacency entries of ``rows`` as ``(owner_ranks, neighbor_rows)``.
+    def overflow_of(self, rows):
+        """Overflow entries of ``rows`` as ``(ranks, neighbor_rows)``, or
+        None when ``rows`` own none (always, on graphs without hubs).
 
-        ``owner_ranks[e]`` is the *rank into ``rows``* (not the global row
-        position) owning entry ``e``; ``neighbor_rows[e]`` is the global row
-        position of the neighbour.  Rank-based ownership lets the subset
-        reductions below use length-``len(rows)`` bincounts.
+        ``ranks[e]`` indexes into ``rows`` (not the global row position);
+        ``neighbor_rows[e]`` is the neighbour's row position.
         """
         import numpy as np
 
-        starts = self.indptr[rows]
-        stops = self.indptr[rows + 1]
-        counts = stops - starts
-        entries = _concat_ranges(starts, stops, counts)
-        owners = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
-        return owners, self.indices[entries]
-
-    def any_over_subset(self, owner_ranks, edge_flags, m):
-        """Per-rank ``any`` over subset adjacency entries (m = len(rows))."""
-        import numpy as np
-
-        return np.bincount(owner_ranks[edge_flags], minlength=m) > 0
-
-    def all_over_subset(self, owner_ranks, edge_flags, m):
-        """Per-rank ``all`` over subset adjacency entries (m = len(rows))."""
-        import numpy as np
-
-        return np.bincount(owner_ranks[~edge_flags], minlength=m) == 0
+        owner = self.overflow_owner
+        if not owner.size:
+            return None
+        starts = np.searchsorted(owner, rows, "left")
+        counts = np.searchsorted(owner, rows, "right") - starts
+        if not counts.any():
+            return None
+        ranks = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
+        # Entry k of a rank's run sits at starts[rank] + k.
+        first = np.cumsum(counts) - counts
+        entries = starts[ranks] + (np.arange(ranks.size, dtype=np.int64) - first[ranks])
+        return ranks, self.overflow_rows[entries]
 
     def dirty_rows(self, changed):
         """``changed`` rows plus all their neighbours, sorted and unique.
 
         Exactly the rows whose guards can differ after a firing that only
         touched ``changed`` (guards are locally checkable by the protocol
-        model: a vertex reads its own and its neighbours' states).
+        model: a vertex reads its own and its neighbours' states).  Padded
+        slots point at ``changed`` itself, which the dedup absorbs.
         """
         import numpy as np
 
-        starts = self.indptr[changed]
-        stops = self.indptr[changed + 1]
-        neighbors = self.indices[_concat_ranges(starts, stops, stops - starts)]
+        parts = [changed, self.slots[:, changed].ravel()]
+        overflow = self.overflow_of(changed)
+        if overflow is not None:
+            parts.append(overflow[1])
         # Sort, then keep each entry that differs from its predecessor:
         # np.unique's result without its per-call dispatch overhead.
-        rows = np.concatenate((changed, neighbors))
+        rows = np.concatenate(parts)
         rows.sort()
         keep = np.ones(rows.size, dtype=bool)
         np.not_equal(rows[1:], rows[:-1], out=keep[1:])
@@ -274,10 +316,11 @@ class TiledGraphIndex(GraphIndex):
     frontier configurations of an ``n``-vertex instance into one
     ``(B·n, width)`` state array and runs the protocol's unmodified
     :class:`ArrayKernel` over it in a single call.  The kernel only ever
-    reads the graph through the CSR arrays, so a block-diagonal replication
-    of the base adjacency — block ``b`` owning rows ``[b·n, (b+1)·n)`` with
-    all edges kept inside the block — makes every array operation compute
-    ``B`` independent instances at once.
+    reads the graph through the index arrays, so a block-diagonal
+    replication of the base adjacency — block ``b`` owning rows
+    ``[b·n, (b+1)·n)`` with all edges (and slot padding) kept inside the
+    block — makes every array operation compute ``B`` independent
+    instances at once.
 
     Kernels whose :meth:`ArrayKernel.prepare` precomputes *positional*
     arrays from vertex identities (a root row, a ring-predecessor map) must
@@ -304,15 +347,22 @@ class TiledGraphIndex(GraphIndex):
         self.vertices = base.vertices
         self.position = base.position
         n = self.n = base.n * blocks
-        entries = int(base.indices.size)
+        block_start = np.arange(blocks, dtype=np.int64) * base.n
+
+        def tiled(rows):
+            # Block b's copy of a row-position array, shifted into block b.
+            return (rows + block_start[:, None]).ravel()
+
+        self.slots = (base.slots[:, None, :] + block_start[:, None]).reshape(
+            base.slots.shape[0], n
+        )
+        self.overflow_owner = tiled(base.overflow_owner)
+        self.overflow_rows = tiled(base.overflow_rows)
         degrees = base.indptr[1:] - base.indptr[:-1]
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.tile(degrees, blocks), out=self.indptr[1:])
-        row_offsets = np.repeat(
-            np.arange(blocks, dtype=np.int64) * base.n, entries
-        )
-        self.indices = np.tile(base.indices, blocks) + row_offsets
-        self.edge_src = np.tile(base.edge_src, blocks) + row_offsets
+        self.indices = tiled(base.indices)
+        self.edge_src = tiled(base.edge_src)
 
 
 def tile_block_values(values, index: GraphIndex):
@@ -344,17 +394,6 @@ def tile_block_positions(positions, index: GraphIndex):
         )
         return np.tile(positions, index.blocks) + offsets
     return positions
-
-
-def _concat_ranges(starts, stops, counts):
-    """Concatenation of ``arange(starts[i], stops[i])`` for every ``i``."""
-    import numpy as np
-
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(starts, counts) + (np.arange(total, dtype=np.int64) - offsets)
 
 
 class ArrayCodec(ABC):

@@ -551,12 +551,9 @@ class BatchedTransitionSystem:
         self._blocks = max(1, int(batch_blocks))
         self._packer = ArrayPacker(self._space, codec)
         self._codec = codec
-        self._base_index = GraphIndex(protocol.graph)
-        if tuple(self._base_index.vertices) != tuple(self._space.vertices):
-            # GraphIndex rows follow graph.vertices; the space follows
-            # sorted_vertices.  Rebuild the index over the sorted order so
-            # state columns and kernel rows line up one-to-one.
-            self._base_index = _sorted_graph_index(protocol)
+        # Kernel rows follow the space's packing order (sorted_vertices),
+        # so state columns and kernel rows line up one-to-one.
+        self._base_index = GraphIndex(protocol.graph, self._space.vertices)
         # Tiered batch capacities: small frontiers (region closures are
         # often a few hundred states) run against a small tiled index
         # instead of padding to the full capacity every round.  Tiers are
@@ -831,32 +828,6 @@ class BatchedTransitionSystem:
             dtype=bool,
             count=len(configurations),
         )
-
-
-def _sorted_graph_index(protocol: Protocol) -> GraphIndex:
-    """A :class:`GraphIndex` whose rows follow ``sorted_vertices`` order
-    (the packing order of :class:`StateSpace`)."""
-    index = GraphIndex.__new__(GraphIndex)
-    import numpy as np
-
-    graph = protocol.graph
-    vertices = tuple(graph.sorted_vertices())
-    index.vertices = vertices
-    index.position = {v: i for i, v in enumerate(vertices)}
-    n = index.n = len(vertices)
-    degrees = [0] * n
-    columns: List[int] = []
-    for i, v in enumerate(vertices):
-        neighbors = sorted(index.position[u] for u in graph.neighbors(v))
-        degrees[i] = len(neighbors)
-        columns.extend(neighbors)
-    index.indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.asarray(degrees, dtype=np.int64), out=index.indptr[1:])
-    index.indices = np.asarray(columns, dtype=np.int64)
-    index.edge_src = np.repeat(
-        np.arange(n, dtype=np.int64), np.asarray(degrees, dtype=np.int64)
-    )
-    return index
 
 
 class _ExpansionState:

@@ -331,8 +331,8 @@ def test_dijkstra_subset_guards_match_full_scan(state_seed):
 
 @pytest.mark.parametrize(
     "graph",
-    [ring_graph(40), grid_graph(6, 7), star_graph(30)],
-    ids=["ring", "grid", "star"],
+    [ring_graph(40), grid_graph(6, 7), star_graph(30), star_graph(1000)],
+    ids=["ring", "grid", "star", "hub"],
 )
 def test_dirty_rows_matches_np_unique(graph):
     """The sort-and-compare dedup returns exactly ``np.unique`` of the

@@ -9,6 +9,7 @@ fallback.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.core import (
     Rule,
     Simulator,
     SynchronousDaemon,
+    TiledGraphIndex,
     VectorEngine,
     protocol_supports_vector,
 )
@@ -39,7 +41,14 @@ from repro.core.engine import (
 )
 from repro.exceptions import SimulationError
 from repro.baselines import BfsSpanningTree, MaximalMatching
-from repro.graphs import random_connected_graph, ring_graph, star_graph
+from repro.graphs import (
+    grid_graph,
+    path_graph,
+    random_connected_graph,
+    ring_graph,
+    single_vertex_graph,
+    star_graph,
+)
 from repro.mutex import SSME, DijkstraTokenRing
 from repro.unison import AsynchronousUnison
 
@@ -56,6 +65,81 @@ class TestGraphIndex:
         for e in range(int(index.indices.size)):
             src = int(index.edge_src[e])
             assert index.indptr[src] <= e < index.indptr[src + 1]
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            single_vertex_graph(),
+            path_graph(2),
+            star_graph(7),
+            ring_graph(6),
+            grid_graph(3, 4),
+            random_connected_graph(12, 0.4, random.Random(5)),
+        ],
+        ids=["single", "path2", "star7", "ring6", "grid3x4", "random12"],
+    )
+    def test_slot_table_matches_adjacency(self, graph):
+        """Each row's slots hold its first ``width`` CSR neighbours, then
+        itself as padding; the rest of its neighbours are its overflow."""
+        index = GraphIndex(graph)
+        width = index.slots.shape[0]
+        assert index.slots.shape == (width, index.n)
+        assert np.all(np.diff(index.overflow_owner) >= 0)
+        for i in range(index.n):
+            row = index.indices[index.indptr[i] : index.indptr[i + 1]].tolist()
+            head = row[:width]
+            assert index.slots[:, i].tolist() == head + [i] * (width - len(head))
+            assert index.overflow_rows[index.overflow_owner == i].tolist() == row[width:]
+
+    @pytest.mark.parametrize(
+        "graph",
+        [star_graph(7), star_graph(40), random_connected_graph(30, 0.1, random.Random(3))],
+        ids=["star7", "star40", "random30"],
+    )
+    def test_overflow_of_matches_owner_mask(self, graph):
+        index = GraphIndex(graph)
+        rng = random.Random(index.n)
+        for size in (0, 1, 3, index.n):
+            rows = np.array(rng.sample(range(index.n), size), dtype=np.int64)
+            pairs = sorted(
+                (rank, int(u))
+                for rank, row in enumerate(rows.tolist())
+                for u in index.overflow_rows[index.overflow_owner == row]
+            )
+            found = index.overflow_of(rows)
+            if not pairs:
+                assert found is None
+                continue
+            ranks, neighbors = found
+            assert sorted(zip(ranks.tolist(), neighbors.tolist())) == pairs
+
+    def test_slot_table_is_bounded_on_hubs(self):
+        """A hub does not widen the table to n·Δ: its entries beyond the
+        width go to the overflow list, so the table plus the overflow hold
+        at most nnz + n·width entries."""
+        index = GraphIndex(star_graph(1000))
+        nnz = int(index.indices.size)
+        width = index.slots.shape[0]
+        max_degree = int(np.diff(index.indptr).max())
+        held = int(index.slots.size) + int(index.overflow_rows.size)
+        assert width == 1 and max_degree == 999
+        assert held <= nnz + index.n * width
+        assert held * 100 < index.n * max_degree
+        # The width never exceeds twice the mean degree on any graph.
+        for graph in (ring_graph(9), grid_graph(5, 6), random_connected_graph(40, 0.2, random.Random(1))):
+            other = GraphIndex(graph)
+            assert other.slots.size <= 2 * other.indices.size
+
+    def test_tiled_index_offsets_slots_and_overflow(self):
+        base = GraphIndex(star_graph(7))
+        tiled = TiledGraphIndex(base, 3)
+        n = base.n
+        for b in range(3):
+            block = slice(b * n, (b + 1) * n)
+            assert np.array_equal(tiled.slots[:, block], base.slots + b * n)
+        shift = np.repeat(np.arange(3) * n, base.overflow_owner.size)
+        assert np.array_equal(tiled.overflow_owner, np.tile(base.overflow_owner, 3) + shift)
+        assert np.array_equal(tiled.overflow_rows, np.tile(base.overflow_rows, 3) + shift)
 
     def test_edge_reductions_match_python(self):
         graph = star_graph(5)
@@ -117,6 +201,36 @@ def _expected_rule_id(protocol, configuration, vertex):
     return rules.index(enabled[0])
 
 
+def _assert_unison_kernel_matches_python(protocol, configurations, rng):
+    """The unison kernel's guards (over every row and over row subsets) and
+    its firing against the Python rule chain, vertex by vertex."""
+    kernel = protocol.array_kernel()
+    codec = protocol.array_codec()
+    index = GraphIndex(protocol.graph)
+    kernel.prepare(index)
+    rules = list(protocol.rules())
+    subsets = [
+        np.arange(index.n, dtype=np.int64),
+        np.zeros(1, dtype=np.int64),
+        np.array(rng.sample(range(index.n), index.n // 2), dtype=np.int64),
+    ]
+    for configuration in configurations:
+        states = codec.encode(configuration, index.vertices)
+        rule_ids = kernel.enabled_rules(states, index)
+        for i, vertex in enumerate(index.vertices):
+            expected = _expected_rule_id(protocol, configuration, vertex)
+            assert int(rule_ids[i]) == expected, (vertex, dict(configuration))
+        for rows in subsets:
+            assert np.array_equal(kernel.enabled_rules_for(states, rows, index), rule_ids[rows])
+        # Fire every enabled vertex and compare against the rule actions.
+        enabled = np.flatnonzero(rule_ids != -1)
+        new_rows = kernel.fire(states, enabled, rule_ids[enabled], index)
+        for row, position in enumerate(enabled.tolist()):
+            view = protocol.local_view(configuration, index.vertices[position])
+            expected = rules[int(rule_ids[position])].apply(view)
+            assert codec.decode(new_rows[row : row + 1])[0] == expected
+
+
 @pytest.mark.parametrize(
     "factory",
     [
@@ -128,26 +242,55 @@ def _expected_rule_id(protocol, configuration, vertex):
 @pytest.mark.parametrize("graph_seed", [0, 4])
 @pytest.mark.parametrize("state_seed", [1, 7, 42])
 def test_unison_kernel_guards_match_python(factory, graph_seed, state_seed):
-    graph = random_connected_graph(8, 0.35, random.Random(graph_seed))
-    protocol = factory(graph)
-    kernel = protocol.array_kernel()
-    codec = protocol.array_codec()
-    index = GraphIndex(graph)
-    kernel.prepare(index)
+    protocol = factory(random_connected_graph(8, 0.35, random.Random(graph_seed)))
     configuration = protocol.random_configuration(random.Random(state_seed))
-    states = codec.encode(configuration, index.vertices)
-    rule_ids = kernel.enabled_rules(states, index)
-    for i, vertex in enumerate(index.vertices):
-        assert int(rule_ids[i]) == _expected_rule_id(protocol, configuration, vertex), vertex
-    # Fire every enabled vertex and compare against the rule actions.
-    enabled = np.flatnonzero(rule_ids != -1)
-    if enabled.size:
-        new_rows = kernel.fire(states, enabled, rule_ids[enabled], index)
-        rules = list(protocol.rules())
-        for row, position in enumerate(enabled.tolist()):
-            vertex = index.vertices[position]
-            view, enabled_rules = protocol.evaluate(configuration, vertex)
-            assert codec.decode(new_rows[row : row + 1])[0] == enabled_rules[0].apply(view)
+    _assert_unison_kernel_matches_python(protocol, [configuration], random.Random(state_seed))
+
+
+_SMALL_CLOCK_GRAPHS = {
+    "single": single_vertex_graph(),
+    "path2": path_graph(2),
+    "star7": star_graph(7),
+    "ring5": ring_graph(5),
+    "random9": random_connected_graph(9, 0.3, random.Random(2)),
+    "random12": random_connected_graph(12, 0.5, random.Random(8)),
+}
+
+
+def _small_clock_configurations(protocol, rng, count=40):
+    """Every configuration when there are few, else ``count`` samples that
+    crowd each vertex's neighbourhood with the values a guard tells apart:
+    equal, one tick either way (wrapped), the reset value, 0 and K-1."""
+    K, alpha = protocol.K, protocol.alpha
+    domain = list(range(-alpha, K))
+    vertices = list(protocol.graph.vertices)
+    if len(domain) ** len(vertices) <= 2 * count:
+        for values in itertools.product(domain, repeat=len(vertices)):
+            yield protocol.configuration(dict(zip(vertices, values)))
+        return
+    for _ in range(count):
+        base = rng.choice(domain)
+        near = {base, base - 1, base + 1, (base + 1) % K, (base - 1) % K, -alpha, 0, K - 1}
+        pool = [value for value in near if -alpha <= value < K]
+        yield protocol.configuration(
+            {v: rng.choice(pool) if rng.random() < 0.85 else rng.choice(domain) for v in vertices}
+        )
+
+
+@pytest.mark.parametrize("graph_id", sorted(_SMALL_CLOCK_GRAPHS))
+@pytest.mark.parametrize("K", [2, 3, 4, 7])
+@pytest.mark.parametrize("alpha", [1, 2, 5])
+def test_unison_kernel_small_clocks_match_python(graph_id, K, alpha):
+    """Explicit small clocks put the cycle wrap (K-1 -> 0) and the tail
+    next to every neighbour value, on graphs with and without hub
+    overflow."""
+    protocol = AsynchronousUnison(
+        _SMALL_CLOCK_GRAPHS[graph_id], alpha=alpha, K=K, validate_parameters=False
+    )
+    rng = random.Random(K * 10 + alpha)
+    _assert_unison_kernel_matches_python(
+        protocol, list(_small_clock_configurations(protocol, rng)), rng
+    )
 
 
 @pytest.mark.parametrize("state_seed", [0, 5, 19])
@@ -197,6 +340,24 @@ def test_baseline_kernel_guards_match_python(factory, graph_seed, state_seed):
             vertex = index.vertices[position]
             view, enabled_rules = protocol.evaluate(configuration, vertex)
             assert codec.decode(new_rows[row : row + 1])[0] == enabled_rules[0].apply(view)
+
+
+def test_unison_kernel_on_tiled_hub_index_matches_blocks():
+    """The batched checker's tiled index: the overflow of every block's hub
+    must land in its own block."""
+    protocol = AsynchronousUnison(star_graph(7), alpha=2, K=4, validate_parameters=False)
+    kernel = protocol.array_kernel()
+    codec = protocol.array_codec()
+    base = GraphIndex(protocol.graph)
+    rng = random.Random(9)
+    blocks = [
+        codec.encode(configuration, base.vertices)
+        for configuration in _small_clock_configurations(protocol, rng, count=5)
+    ]
+    tiled = TiledGraphIndex(base, len(blocks))
+    stacked = np.concatenate(blocks)
+    expected = np.concatenate([kernel.enabled_rules(states, base) for states in blocks])
+    assert np.array_equal(kernel.enabled_rules(stacked, tiled), expected)
 
 
 @settings(max_examples=25, deadline=None)
