@@ -113,13 +113,15 @@ class LazyActivations(Sequence):
 
 
 class LazyEnabledSets(Sequence):
-    """Per-configuration enabled vertex sets, kept as row-position arrays.
+    """Per-configuration enabled vertex sets, kept as the engine's arrays.
 
     The superstep path of :class:`repro.core.vector.VectorEngine` already
-    computes each step's enabled rows as an int64 position array; turning
-    every one into a ``frozenset`` of vertex ids costs more than the step's
-    kernel work on a big ring, and sweeps rarely read them.  This sequence
-    keeps the arrays and builds a set only when an index is read.
+    holds each step's enabled rows as an array: the boolean enabled mask
+    (one entry per row) on dense steps, an int64 row-position array on
+    sparse ones.  Turning every one into a ``frozenset`` of vertex ids
+    costs more than the step's kernel work on a big ring, and sweeps rarely
+    read them.  This sequence keeps the arrays, in either form, and builds
+    a set only when an index is read.
 
     Consecutive configurations with equal enabled masks share one array
     object (a fixed point shares one array across the whole fast-forward),
@@ -137,6 +139,7 @@ class LazyEnabledSets(Sequence):
         vertices: Sequence[VertexId],
         _built: Optional[Dict[int, tuple]] = None,
     ) -> None:
+        # One enabled mask or row-position array per configuration.
         self._positions = positions
         self._vertices = vertices
         # id(array) -> (array, frozenset); holding the array pins its id.
@@ -152,8 +155,10 @@ class LazyEnabledSets(Sequence):
             self._built[id(positions)] = entry
         return entry[1]
 
-    def _build(self, positions) -> FrozenSet[VertexId]:
-        return frozenset(map(self._vertices.__getitem__, positions.tolist()))
+    def _build(self, rows) -> FrozenSet[VertexId]:
+        if rows.dtype.kind == "b":
+            rows = rows.nonzero()[0]
+        return frozenset(map(self._vertices.__getitem__, rows.tolist()))
 
     def __getitem__(self, index: Union[int, slice]):
         if isinstance(index, slice):

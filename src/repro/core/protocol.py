@@ -412,3 +412,18 @@ class PrivilegeAware(ABC):
         """
         del rows, order
         return None
+
+    def privileged_rows_for(self, states, rows, order):
+        """Optional sparse capability: the privilege of the ``rows`` (an
+        int64 array of row positions) of one ``(n, width)`` state array,
+        as a ``(len(rows),)`` boolean vector.
+
+        Must equal ``privileged_rows(states[None], order)[0][rows]`` — the
+        same exactness contract as ``ArrayKernel.enabled_rules_for``.
+        ``spec_ME`` keeps a superstep run's privileged count current
+        through it, re-judging only the rows the guard refresh
+        re-evaluated, so privilege must read only the closed neighbourhood
+        N[v].  The base implementation returns ``None`` ("unsupported").
+        """
+        del states, rows, order
+        return None

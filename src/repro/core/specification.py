@@ -64,11 +64,12 @@ class Specification(ABC):
           of once per configuration;
         * the synchronous superstep engine
           (:meth:`repro.core.VectorEngine.run_supersteps`) calls it with
-          ``m = 1`` at every step of a run monitored by a bare
-          :class:`~repro.core.SafetyMonitor`, on its own state array, so the
-          run is never replayed for the monitor.  ``order`` is then the
-          same tuple for the whole run: implementations may cache derived
-          index arrays keyed on its identity.
+          ``m = 1`` at index 0 and — unless :meth:`safety_tracker` declares
+          a tracker — after every changing step of a run monitored by a
+          bare :class:`~repro.core.SafetyMonitor`, on its own state array,
+          so the run is never replayed for the monitor.  ``order`` is then
+          the same tuple for the whole run: implementations may cache
+          derived index arrays keyed on its identity.
 
         The base implementation returns ``None``, meaning "unsupported":
         the checker then decodes and evaluates per configuration, and the
@@ -76,6 +77,26 @@ class Specification(ABC):
         (correct either way, just slower).
         """
         del rows, order, protocol
+        return None
+
+    def safety_tracker(self, order, protocol: Protocol):
+        """Optional incremental capability for the superstep engine: an
+        object whose ``update(states, rows)`` returns the safety verdict of
+        one run's ``(n, width)`` state array (columns aligned to ``order``)
+        after each changing step.
+
+        ``rows`` is None on the first call and after a full guard rescan;
+        otherwise it holds the sorted rows the engine re-evaluated — the
+        changed rows and their neighbours — and the tracker may re-judge
+        only those, so it suits predicates built from per-vertex terms that
+        read only the closed neighbourhood N[v].  Verdicts must equal
+        :meth:`safe_rows` on the same array.
+
+        The engine asks only specifications whose :meth:`safe_rows`
+        judges arrays.  The base implementation returns ``None``: the
+        engine then calls :meth:`safe_rows` on the whole array instead.
+        """
+        del order, protocol
         return None
 
     def first_unsafe_index(

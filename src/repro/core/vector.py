@@ -484,6 +484,10 @@ class ArrayKernel(ABC):
       row positions against the *current* ``states`` (atomic-snapshot
       semantics: the engine writes the returned rows back only after the
       call) and returns the ``(len(selected), width)`` new rows.
+      ``selected`` may also be ``slice(None)``: a dense synchronous step
+      fires every row at once, with ``rule_ids`` the whole rule-id array.
+      Rows whose rule id is ``-1`` (disabled) may then get any value —
+      the engine discards them — but must not raise.
 
     Both receive the full ``(n, width)`` state array and the shared
     :class:`GraphIndex`; :meth:`prepare` is called once per engine so
@@ -502,7 +506,8 @@ class ArrayKernel(ABC):
 
     @abstractmethod
     def fire(self, states, selected, rule_ids, index: GraphIndex):
-        """``(len(selected), width)`` new state rows for ``selected``."""
+        """``(len(selected), width)`` new state rows for ``selected`` (row
+        positions, or ``slice(None)`` for every row)."""
 
     def enabled_rules_for(self, states, rows, index: GraphIndex):
         """Optional sparse capability: ``enabled_rules`` restricted to
@@ -660,31 +665,28 @@ class _SuperstepReplayer:
     per-step artefact (configurations, deltas, activation records) is
     reconstructed on demand by replaying the kernel forward from the nearest
     checkpoint at or before the requested index.  The kernel is a pure
-    function of the state array, and the replay fires through the engine's
-    own :meth:`VectorEngine._fire` (same sparse-refresh fast paths), so the
-    replay is bit-identical to the original run.
+    function of the state array, and the replay steps a :class:`_RunState`
+    exactly as the run's own loop does (same dense/sparse branches), so
+    the replay is bit-identical to the original run.
 
-    One mutable cursor (``_states``/``_rule_ids`` positioned at
-    configuration ``_at``) is kept; sequential access — the dominant pattern
-    through ``LazyConfigurationTrace.iter_from`` and aggregate walks — costs
-    one kernel step per index, and a random access costs at most one
+    One mutable cursor (a :class:`_RunState` positioned at configuration
+    ``_at``) is kept; sequential access — the dominant pattern through
+    ``LazyConfigurationTrace.iter_from`` and aggregate walks — costs one
+    kernel step per index, and a random access costs at most one
     checkpoint load plus ``superstep`` kernel steps.
     """
 
-    __slots__ = ("_engine", "_checkpoints", "_at", "_states", "_rule_ids")
+    __slots__ = ("_engine", "_checkpoints", "_at", "_run")
 
     def __init__(self, engine: "VectorEngine", checkpoints) -> None:
         self._engine = engine
         #: step -> pristine state-array snapshot (never handed out).
         self._checkpoints: Dict[int, object] = checkpoints
         self._at = -1
-        self._states = None
-        self._rule_ids = None
+        self._run: Optional[_RunState] = None
 
     def _load(self, step: int) -> None:
-        engine = self._engine
-        self._states = self._checkpoints[step].copy()
-        self._rule_ids = engine._kernel.enabled_rules(self._states, engine._index)
+        self._run = _RunState(self._engine, self._checkpoints[step].copy())
         self._at = step
 
     def seek(self, step: int) -> None:
@@ -699,44 +701,43 @@ class _SuperstepReplayer:
             if nearer:
                 self._load(max(nearer))
         while self._at < step:
-            self._advance()
-
-    def _advance(self):
-        """Fire one synchronous step on the cursor; returns the step data
-        ``(selected, rule_ids, old_rows, new_rows, changed_rows)`` of the
-        transition (see :meth:`VectorEngine._fire`)."""
-        import numpy as np
-
-        selected = np.flatnonzero(self._rule_ids != -1)
-        self._rule_ids, rids, old_rows, new_rows, changed_rows = self._engine._fire(
-            self._states, self._rule_ids, selected
-        )
-        self._at += 1
-        return selected, rids, old_rows, new_rows, changed_rows
+            self._run.step()
+            self._at += 1
 
     # -- accessors (all position the cursor as a side effect) --------------
     def step_data(self, step: int):
         """``(selected, rule_ids, old_rows, new_rows, changed_rows)`` of
-        action ``step``.
+        action ``step``: the fired row positions, their rule ids, their
+        rows before and after, and the per-row change mask (None when the
+        step changed nothing).
 
-        All arrays are fresh copies safe to retain; the cursor ends on
+        All arrays are safe to retain (the positions are shared with the
+        cursor, which never writes to them); the cursor ends on
         configuration ``step + 1`` so sequential action walks replay each
         step exactly once.
         """
         self.seek(step)
-        return self._advance()
+        run = self._run
+        selected = run.positions()
+        rule_ids = run.rule_ids[selected]
+        old_rows = run.states[selected]  # fancy indexing copies
+        changed = run.step()
+        self._at += 1
+        new_rows = run.states[selected]
+        changed_rows = _changed_rows(new_rows, old_rows) if changed else None
+        return selected, rule_ids, old_rows, new_rows, changed_rows
 
     def states_at(self, step: int):
         """The live cursor array at configuration ``step`` (do not retain)."""
         self.seek(step)
-        return self._states
+        return self._run.states
 
     def configuration_at(self, step: int) -> Configuration:
         """Configuration ``step`` as an immutable decoded snapshot."""
         self.seek(step)
         engine = self._engine
         return Configuration._from_trusted_dict(
-            dict(zip(engine._index.vertices, engine._codec.decode(self._states)))
+            dict(zip(engine._index.vertices, engine._codec.decode(self._run.states)))
         )
 
     def view_at(self, step: int) -> ArrayStateView:
@@ -745,7 +746,7 @@ class _SuperstepReplayer:
         Valid only until the cursor moves — consume immediately.
         """
         self.seek(step)
-        return ArrayStateView(self._engine._index, self._states, self._engine._codec)
+        return ArrayStateView(self._engine._index, self._run.states, self._engine._codec)
 
 
 class _SuperstepActionLog(Sequence):
@@ -839,7 +840,7 @@ class _SuperstepDeltaLog(DeltaLog):
 
 def _delta(selected, new_rows, changed_rows, vertices, codec) -> Dict[VertexId, VertexStateLike]:
     """``{vertex: new state}`` of the rows one firing of ``selected`` changed
-    (``changed_rows`` as :meth:`VectorEngine._fire` returns it: the per-row
+    (``changed_rows`` as :meth:`_RunState.fire` returns it: the per-row
     change mask, or None when nothing changed)."""
     if changed_rows is None:
         return {}
@@ -850,28 +851,174 @@ def _delta(selected, new_rows, changed_rows, vertices, codec) -> Dict[VertexId, 
     return dict(zip(map(vertices.__getitem__, changed.tolist()), codec.decode(changed_new)))
 
 
-class _EnabledRows:
-    """Enabled row positions, recomputed only when the enabled mask changes
-    (in the dense steady state — unison under the synchronous daemon — it
-    never does, so one position array serves every step)."""
+def _changed_rows(new_rows, old_rows):
+    """Per-row ``(new_rows != old_rows).any(axis=1)`` of two ``(m, width)``
+    arrays; width-1 rows need a reshape, not a reduction."""
+    differs = new_rows != old_rows
+    if differs.shape[1] == 1:
+        return differs.reshape(-1)
+    return differs.any(axis=1)
 
-    __slots__ = ("_mask", "positions")
 
-    def __init__(self) -> None:
-        self._mask = None
-        self.positions = None
+def _dense(rows: int, n: int) -> bool:
+    """Whether firing ``rows`` of ``n`` rows is a dense step.
 
-    def update(self, rule_ids) -> bool:
-        """Track the mask of ``rule_ids``; True when :attr:`positions` was
-        rebuilt."""
+    The guards are then rescanned in full without building the dirty set
+    (the neighbourhood of that many rows rarely stays under the
+    sparse-refresh threshold), and a synchronous step fires every row by
+    mask.
+    """
+    return rows * 6 >= n
+
+
+class _RunState:
+    """A run's state array with its guards kept current across firings.
+
+    Holds the first-enabled rule ids, the enabled mask and its count.  A
+    full guard rescan resets the mask with one ``rule_ids != -1``; a sparse
+    refresh patches only its dirty rows.  :meth:`enabled` hands out the
+    enabled rows in the form the next synchronous step uses — the mask
+    itself on a dense step, row positions otherwise — and the same object
+    for as long as the mask does not change, so consecutive equal masks
+    share one record.  A mask handed out is never patched in place: only a
+    dense step hands it out, a dense step ends with a full rescan, and a
+    rescan that changes the mask builds a new one.  Only masks built since
+    the last dense step reach a sparse patch.
+
+    :meth:`fire` fires selected row positions (any daemon); :meth:`step`
+    fires every enabled row (the synchronous daemon), by mask when the
+    step is dense.  After a firing that changed some row, :attr:`dirty`
+    holds the rows whose guards the refresh re-evaluated — the changed
+    rows and their neighbours — or None after a full rescan.
+    """
+
+    __slots__ = (
+        "_kernel",
+        "_index",
+        "_subset_refresh",
+        "states",
+        "rule_ids",
+        "mask",
+        "count",
+        "dirty",
+        "_positions",
+    )
+
+    def __init__(self, engine: "VectorEngine", states) -> None:
         import numpy as np
 
-        mask = rule_ids != -1
-        if self._mask is not None and np.array_equal(mask, self._mask):
+        self._kernel = engine._kernel
+        self._index = engine._index
+        self._subset_refresh = engine._subset_refresh
+        self.states = states
+        self.rule_ids = self._kernel.enabled_rules(states, self._index)
+        self.mask = self.rule_ids != -1
+        self.count = int(np.count_nonzero(self.mask))
+        self.dirty = None
+        self._positions = None
+
+    def positions(self):
+        """The enabled row positions (rebuilt only after the mask changed)."""
+        import numpy as np
+
+        if self._positions is None:
+            self._positions = np.flatnonzero(self.mask)
+        return self._positions
+
+    def enabled(self):
+        """The enabled rows: the mask on a dense step, positions otherwise."""
+        if _dense(self.count, self._index.n):
+            return self.mask
+        return self.positions()
+
+    def fire(self, selected):
+        """Fire the cached first-enabled rules of the ``selected`` row
+        positions and refresh the guards.
+
+        Atomic-snapshot semantics: every action reads ``states`` as it was
+        before the firing, and the new rows are written back afterwards.
+        Returns ``(rids, old_rows, new_rows, changed_rows)``: the fired rule
+        ids and the old/new rows of ``selected`` (fresh arrays, safe to
+        retain), and the per-row change mask — None when the firing changed
+        no row, in which case nothing is refreshed.
+        """
+        states = self.states
+        rids = self.rule_ids[selected]
+        old_rows = states[selected]  # fancy indexing copies: the atomic snapshot
+        new_rows = self._kernel.fire(states, selected, rids, self._index)
+        changed_rows = _changed_rows(new_rows, old_rows)
+        if not changed_rows.any():
+            return rids, old_rows, new_rows, None
+        states[selected] = new_rows
+        if self._subset_refresh and not _dense(int(selected.size), self._index.n):
+            changed = selected if changed_rows.all() else selected[changed_rows]
+            self._refresh(changed)
+        else:
+            self._rescan()
+        return rids, old_rows, new_rows, changed_rows
+
+    def step(self) -> bool:
+        """Fire every enabled row (one synchronous step); True when some
+        row changed.
+
+        A dense step fires all rows in one ``kernel.fire(states,
+        slice(None), rule_ids, index)`` call and writes back the enabled
+        ones by mask, then rescans the guards in full; a sparse step fires
+        the enabled positions through :meth:`fire`.
+        """
+        import numpy as np
+
+        if not _dense(self.count, self._index.n):
+            return self.fire(self.positions())[3] is not None
+        states = self.states
+        mask = self.mask
+        fired = self._kernel.fire(states, slice(None), self.rule_ids, self._index)
+        changed = _changed_rows(fired, states)
+        changed &= mask
+        if not changed.any():
             return False
-        self._mask = mask
-        self.positions = np.flatnonzero(mask)
+        np.copyto(states, fired, where=mask[:, None])
+        self._rescan()
         return True
+
+    def _refresh(self, changed) -> None:
+        """Re-evaluate the guards of the ``changed`` rows and their
+        neighbours only, unless that dirty set covers ``n /
+        _SPARSE_REFRESH`` rows or more (then rescan in full).  Entry-for-entry
+        identical to a full rescan by the ``enabled_rules_for`` exactness
+        contract."""
+        import numpy as np
+
+        index = self._index
+        dirty = index.dirty_rows(changed)
+        if int(dirty.size) * VectorEngine._SPARSE_REFRESH >= index.n:
+            self._rescan()
+            return
+        rids = self._kernel.enabled_rules_for(self.states, dirty, index)
+        self.rule_ids[dirty] = rids
+        self.dirty = dirty
+        now = rids != -1
+        before = self.mask[dirty]
+        if (now != before).any():
+            self.mask[dirty] = now
+            self.count += int(np.count_nonzero(now)) - int(np.count_nonzero(before))
+            self._positions = None
+
+    def _rescan(self) -> None:
+        """Re-evaluate every guard; keep the mask object when it is equal."""
+        import numpy as np
+
+        self.rule_ids = self._kernel.enabled_rules(self.states, self._index)
+        self.dirty = None
+        mask = self.rule_ids != -1
+        count = int(np.count_nonzero(mask))
+        if count == self.count and (
+            count == 0 or count == mask.size or not (mask != self.mask).any()
+        ):
+            return
+        self.mask = mask
+        self.count = count
+        self._positions = None
 
 
 def _row_safety_monitor(stop_when):
@@ -890,37 +1037,56 @@ def _row_safety_monitor(stop_when):
     return None
 
 
-def _row_verdicts(monitor, states, order) -> Optional[List[bool]]:
-    """Safety of the ``(n, width)`` state array under each of ``monitor``'s
-    specifications, through :meth:`~repro.core.Specification.safe_rows`;
-    None when some specification does not implement it."""
-    rows = states[None]
+def _row_checks(monitor, states, order):
+    """``(checks, verdicts)`` for ``monitor``'s specifications on a run's
+    ``(n, width)`` state array, or None when some specification does not
+    implement :meth:`~repro.core.Specification.safe_rows`.
+
+    ``verdicts`` judges ``states`` as it is now; each ``check(states,
+    rows)`` returns a later verdict.  A specification's
+    :meth:`~repro.core.Specification.safety_tracker` serves as its check
+    when it declares one (``rows``: the rows re-evaluated since the last
+    check, None for all); otherwise the check calls ``safe_rows`` on the
+    whole array.
+    """
     protocol = monitor.protocol
-    verdicts = []
+    checks: List[Callable] = []
+    verdicts: List[bool] = []
     for specification in monitor.specifications:
-        flags = specification.safe_rows(rows, order, protocol)
+        flags = specification.safe_rows(states[None], order, protocol)
         if flags is None:
             return None
         verdicts.append(bool(flags[0]))
-    return verdicts
+        tracker = specification.safety_tracker(order, protocol)
+        if tracker is not None:
+            tracker.update(states, None)
+            checks.append(tracker.update)
+            continue
+
+        def check(states, rows, specification=specification):
+            return bool(specification.safe_rows(states[None], order, protocol)[0])
+
+        checks.append(check)
+    return checks, verdicts
 
 
 class VectorEngine:
     """Array-state runner with the :class:`IncrementalEngine` run contract.
 
     One instance per protocol; stateless between runs.  Two loops share
-    one firing step (:meth:`_fire`): :meth:`run` steps under any daemon,
-    and :meth:`run_supersteps` executes synchronous-daemon runs in kernel
+    one run state (:class:`_RunState`, which fires and refreshes the
+    guards): :meth:`run` steps under any daemon, and
+    :meth:`run_supersteps` executes synchronous-daemon runs in kernel
     blocks — :class:`IncrementalEngine` routes every synchronous run there.
     Each step is a constant number of whole-array operations: guard
     evaluation through the protocol's :class:`ArrayKernel`, firing through
     vectorized actions, and O(Δ)-in-C bookkeeping for the trace.  The
-    enabled row positions are recomputed only when the enabled *membership*
-    actually changed (:class:`_EnabledRows`).  :meth:`run` hands the daemon
-    a ``frozenset`` rebuilt at those changes; :meth:`run_supersteps`, which
-    consults no daemon, records the position arrays themselves in a
-    :class:`~repro.core.LazyEnabledSets` and builds a set only when the
-    execution is asked for it.
+    enabled mask is tracked across firings and the enabled row positions
+    are recomputed only when it changed.  :meth:`run` hands the daemon a
+    ``frozenset`` rebuilt at those changes; :meth:`run_supersteps`, which
+    consults no daemon, records the masks and position arrays themselves
+    in a :class:`~repro.core.LazyEnabledSets` and builds a set only when
+    the execution is asked for it.
     """
 
     __slots__ = (
@@ -1034,12 +1200,13 @@ class VectorEngine:
         truncated = True
 
         current = initial
-        rule_ids = kernel.enabled_rules(states, index)
-        enabled = _EnabledRows()
+        run_state = _RunState(self, states)
+        enabled_pos = None
         enabled_fs: FrozenSet[VertexId] = frozenset()
         for step_index in range(max_steps + 1):
-            if enabled.update(rule_ids):
-                enabled_pos = enabled.positions
+            positions = run_state.positions()
+            if positions is not enabled_pos:
+                enabled_pos = positions
                 if enabled_pos.size == index.n:
                     enabled_fs = frozenset(vertices)
                 else:
@@ -1071,9 +1238,7 @@ class VectorEngine:
                     dtype=np.int64,
                     count=len(selection),
                 )
-            rule_ids, rids, old_rows, new_rows, changed_rows = self._fire(
-                states, rule_ids, selected
-            )
+            rids, old_rows, new_rows, changed_rows = run_state.fire(selected)
 
             selections.append(selection)
             actions.append(
@@ -1108,51 +1273,6 @@ class VectorEngine:
             truncated=truncated,
         )
 
-    def _fire(self, states, rule_ids, selected):
-        """Fire the cached first-enabled rules of the ``selected`` rows.
-
-        Atomic-snapshot semantics: every action reads ``states`` as it was
-        before the firing, and the new rows are written back afterwards.
-        Returns ``(rule_ids, rids, old_rows, new_rows, changed_rows)``: the
-        refreshed rule-id array, then the fired rule ids and the old/new
-        rows of ``selected`` (fresh arrays, safe to retain), and the per-row
-        change mask — None when the firing changed no row, in which case
-        ``states`` and ``rule_ids`` are left untouched.
-        """
-        rids = rule_ids[selected]
-        old_rows = states[selected]  # fancy indexing copies: the atomic snapshot
-        new_rows = self._kernel.fire(states, selected, rids, self._index)
-        changed_rows = (new_rows != old_rows).any(axis=1)
-        if not bool(changed_rows.any()):
-            return rule_ids, rids, old_rows, new_rows, None
-        states[selected] = new_rows
-        rule_ids = self._refresh_rule_ids(rule_ids, states, selected, changed_rows)
-        return rule_ids, rids, old_rows, new_rows, changed_rows
-
-    def _refresh_rule_ids(self, rule_ids, states, selected, changed_rows):
-        """Post-firing guard refresh: sparse when the firing was sparse.
-
-        Re-evaluates guards only for the changed rows and their neighbours
-        when the kernel declares the subset capability and the dirty set is
-        below the :attr:`_SPARSE_REFRESH` density threshold; otherwise (or
-        always, for subset-less kernels) rescans the full array.  Patches
-        ``rule_ids`` in place and returns it — entry-for-entry identical to
-        a full rescan by the ``enabled_rules_for`` exactness contract.
-        """
-        kernel = self._kernel
-        index = self._index
-        n = index.n
-        # Quick pre-check before building the dirty set: a selection this
-        # large cannot have a sub-threshold neighbourhood.
-        if not self._subset_refresh or int(selected.size) * 6 >= n:
-            return kernel.enabled_rules(states, index)
-        changed = selected if bool(changed_rows.all()) else selected[changed_rows]
-        dirty = index.dirty_rows(changed)
-        if int(dirty.size) * self._SPARSE_REFRESH >= n:
-            return kernel.enabled_rules(states, index)
-        rule_ids[dirty] = kernel.enabled_rules_for(states, dirty, index)
-        return rule_ids
-
     def run_supersteps(
         self,
         daemon: Daemon,
@@ -1179,20 +1299,26 @@ class VectorEngine:
           reconstructed on demand by replaying the (deterministic) kernel
           from the nearest checkpoint (:class:`_SuperstepReplayer`), so
           memory stays O(n · steps / superstep) instead of O(n · steps).
-        * **Enabled sets and selections** are recorded as the enabled row
-          positions the loop computes anyway, one array shared by every
-          step with the same enabled mask, in a
+        * **Steps** fire by mask when dense (at least ``n / 6`` enabled
+          rows) and by row positions otherwise (:meth:`_RunState.step`).
+        * **Enabled sets and selections** are recorded in the form the
+          step already holds — the enabled mask on dense steps, the
+          enabled row positions on sparse ones — one object shared by
+          every consecutive step with the same enabled mask, in a
           :class:`~repro.core.LazyEnabledSets`: ``enabled_at(i)`` and
           ``selection(i)`` build their ``frozenset`` on first read and
-          cache it per distinct array, so a run nobody inspects builds none.
+          cache it per distinct record, so a run nobody inspects builds
+          none.
         * **Safety monitoring** stays in-kernel when ``stop_when`` is a
           :class:`~repro.core.SafetyMonitor`'s bare ``observe`` (no wrapped
           predicate) and every monitored specification implements
           :meth:`~repro.core.Specification.safe_rows`: the specifications
-          judge the loop's own state array at index 0 and after every step,
-          and the verdicts go to :meth:`SafetyMonitor.observe_verdicts`.
-          Such a monitor never stops a run, so nothing is replayed and
-          nothing is rolled back.
+          judge the loop's own state array at index 0 and after every
+          changing step, and the verdicts go to
+          :meth:`SafetyMonitor.observe_verdicts`.  A specification with a
+          :meth:`~repro.core.Specification.safety_tracker` is judged from
+          the rows the guard refresh re-evaluated.  Such a monitor never
+          stops a run, so nothing is replayed and nothing is rolled back.
         * **Any other stop_when** is evaluated in batch at block boundaries:
           a second cursor replays the block's configurations strictly in
           order, handing each to the predicate with its exact step index —
@@ -1221,18 +1347,20 @@ class VectorEngine:
         vertices = index.vertices
         light = trace == "light"
 
-        # One row-position array per recorded configuration; consecutive
-        # equal masks share one array (see LazyEnabledSets).
-        enabled_positions: List[object] = []
+        # One enabled record per configuration: the mask on dense steps,
+        # row positions on sparse ones; consecutive equal masks share one
+        # record (see _RunState.enabled and LazyEnabledSets).
+        enabled_log: List[object] = []
         step_counts: List[int] = []
         checkpoints: Dict[int, object] = {0: states.copy()}
         replayer = _SuperstepReplayer(self, checkpoints)
         monitor = _row_safety_monitor(stop_when)
         if monitor is not None:
-            verdicts = _row_verdicts(monitor, states, vertices)
-            if verdicts is None:
+            row_checks = _row_checks(monitor, states, vertices)
+            if row_checks is None:
                 monitor = None
             else:
+                checks, verdicts = row_checks
                 monitor.observe_verdicts(verdicts, 0)
         # Every other predicate is scanned at block boundaries on its own
         # strictly sequential cursor, so the main loop's state array (which
@@ -1262,13 +1390,11 @@ class VectorEngine:
 
         steps = 0
         truncated = True
-        rule_ids = kernel.enabled_rules(states, index)
-        enabled = _EnabledRows()
+        run_state = _RunState(self, states)
         stop_at: Optional[int] = None
         while True:
-            enabled.update(rule_ids)
-            enabled_pos = enabled.positions
-            enabled_positions.append(enabled_pos)
+            enabled = run_state.enabled()
+            enabled_log.append(enabled)
             # Batched stop_when: at each block boundary (and at entry, for
             # index 0) replay the block just executed strictly in order and
             # hand every configuration to the predicate with its exact step
@@ -1278,22 +1404,22 @@ class VectorEngine:
                 stop_at = scan_until(steps)
                 if stop_at is not None:
                     break
-            if enabled_pos.size == 0:
+            enabled_count = run_state.count
+            if enabled_count == 0:
                 truncated = False
                 break
             if steps == max_steps:
                 truncated = True
                 break
-            rule_ids, _rids, _old_rows, _new_rows, changed_rows = self._fire(
-                states, rule_ids, enabled_pos
-            )
-            any_change = changed_rows is not None
-            step_counts.append(int(enabled_pos.size))
+            any_change = run_state.step()
+            step_counts.append(enabled_count)
             steps += 1
             if monitor is not None:
-                # An unchanged configuration keeps its verdicts.
+                # An unchanged configuration keeps its verdicts; a changed
+                # one is judged from the rows the guard refresh re-evaluated.
                 if any_change:
-                    verdicts = _row_verdicts(monitor, states, vertices)
+                    dirty = run_state.dirty
+                    verdicts = [check(states, dirty) for check in checks]
                 monitor.observe_verdicts(verdicts, steps)
             if not any_change and stop_when is None:
                 # Fixed point: enabled vertices whose firing changes nothing.
@@ -1301,10 +1427,10 @@ class VectorEngine:
                 # wholesale instead of spinning the kernel.
                 checkpoints[steps] = states.copy()
                 remaining = max_steps - steps
-                enabled_positions.extend([enabled_pos] * remaining)
-                step_counts.extend([step_counts[-1]] * remaining)
+                enabled_log.extend([enabled] * remaining)
+                step_counts.extend([enabled_count] * remaining)
                 steps = max_steps
-                enabled_positions.append(enabled_pos)
+                enabled_log.append(enabled)
                 truncated = True
                 break
             if steps % superstep == 0:
@@ -1318,12 +1444,12 @@ class VectorEngine:
             # enabled set of stop_at recorded, truncated.
             steps = stop_at
             truncated = True
-            del enabled_positions[steps + 1 :]
+            del enabled_log[steps + 1 :]
             del step_counts[steps:]
             for key in [k for k in checkpoints if k > steps]:
                 del checkpoints[key]
 
-        enabled_sets = LazyEnabledSets(enabled_positions, vertices)
+        enabled_sets = LazyEnabledSets(enabled_log, vertices)
         selections = enabled_sets[:steps]
         action_log = _SuperstepActionLog(
             replayer, step_counts, vertices, kernel.rule_names, codec

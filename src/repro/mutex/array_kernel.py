@@ -46,6 +46,7 @@ class DijkstraArrayKernel(ArrayKernel):
         }
         self._pred_pos = None
         self._is_bottom = None
+        self._bottom_rows = None
 
     def prepare(self, index: GraphIndex) -> None:
         base_pred = np.fromiter(
@@ -57,6 +58,7 @@ class DijkstraArrayKernel(ArrayKernel):
         base_bottom[index.position[self._bottom]] = True
         self._pred_pos = tile_block_positions(base_pred, index)
         self._is_bottom = tile_block_values(base_bottom, index)
+        self._bottom_rows = np.flatnonzero(self._is_bottom)
 
     def enabled_rules(self, states, index: GraphIndex):
         s = states[:, 0]
@@ -76,7 +78,13 @@ class DijkstraArrayKernel(ArrayKernel):
     def fire(self, states, selected, rule_ids, index: GraphIndex):
         s = states[:, 0]
         new = s[self._pred_pos[selected]]
-        bottom_rows = self._is_bottom[selected]
-        if bottom_rows.any():
-            new = np.where(bottom_rows, (s[selected] + 1) % self._K, new)
+        # Every machine copies its predecessor except the bottom one(s),
+        # which increment their own counter: patch only those entries.
+        if isinstance(selected, slice):  # every row
+            bottom = rows = self._bottom_rows
+        else:
+            bottom = np.flatnonzero(self._is_bottom[selected])
+            rows = selected[bottom]
+        if bottom.size:
+            new[bottom] = (s[rows] + 1) % self._K
         return new.reshape(-1, 1)

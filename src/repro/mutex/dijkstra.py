@@ -224,6 +224,15 @@ class DijkstraTokenRing(Protocol, PrivilegeAware):
         differs[:, bottom] = ~differs[:, bottom]
         return differs
 
+    def privileged_rows_for(self, states, rows, order):
+        """``privileged_rows`` of one state array restricted to ``rows``:
+        reads each row's own and predecessor's counters only."""
+        pred, bottom = self._privilege_positions(order)
+        s = states[:, 0]
+        differs = s[rows] != s[pred[rows]]
+        differs ^= rows == bottom
+        return differs
+
     def _privilege_positions(self, order):
         """``(pred, bottom)`` for columns in ``order``: every vertex's
         predecessor position as an int64 vector, and the bottom machine's

@@ -20,7 +20,12 @@ from ..core.state import Configuration
 from ..exceptions import SpecificationError
 from ..types import VertexId
 
-__all__ = ["MutualExclusionSpec", "critical_section_events", "critical_section_counts"]
+__all__ = [
+    "MutualExclusionSpec",
+    "PrivilegeCount",
+    "critical_section_events",
+    "critical_section_counts",
+]
 
 
 def critical_section_events(
@@ -105,6 +110,18 @@ class MutualExclusionSpec(Specification):
             return None
         return privileged.sum(axis=1) <= 1
 
+    def safety_tracker(self, order, protocol: Protocol):
+        """The superstep engine's incremental safety: a
+        :class:`PrivilegeCount` when the protocol implements
+        ``privileged_rows_for``, else None (whole-array ``safe_rows``)."""
+        del protocol
+        if (
+            type(self._protocol).privileged_rows_for
+            is PrivilegeAware.privileged_rows_for
+        ):
+            return None
+        return PrivilegeCount(self._protocol, order)
+
     # ------------------------------------------------------------------ #
     # Liveness: every vertex executes its critical section in the window
     # ------------------------------------------------------------------ #
@@ -117,3 +134,37 @@ class MutualExclusionSpec(Specification):
             if index >= start:
                 executed.add(vertex)
         return executed >= set(self._protocol.graph.vertices)
+
+
+class PrivilegeCount:
+    """The privileged vertices of one run's state array, kept current.
+
+    :meth:`update` recounts in full when handed no rows (the first call,
+    and after every dense step) and otherwise re-judges only the given
+    rows through the protocol's ``privileged_rows_for``, adjusting
+    :attr:`count` by the difference.  Privilege reads only N[v], so the
+    rows a step's guard refresh re-evaluated (the changed rows and their
+    neighbours) are the only ones whose privilege can have changed.
+    """
+
+    __slots__ = ("_protocol", "_order", "privileged", "count")
+
+    def __init__(self, protocol: PrivilegeAware, order) -> None:
+        self._protocol = protocol
+        self._order = order
+        self.privileged = None
+        self.count = 0
+
+    def update(self, states, rows) -> bool:
+        """Bring the count up to date with ``states``; True when at most
+        one vertex is privileged."""
+        import numpy as np
+
+        if rows is None:
+            self.privileged = self._protocol.privileged_rows(states[None], self._order)[0]
+            self.count = np.count_nonzero(self.privileged)
+        else:
+            now = self._protocol.privileged_rows_for(states, rows, self._order)
+            self.count += np.count_nonzero(now) - np.count_nonzero(self.privileged[rows])
+            self.privileged[rows] = now
+        return self.count <= 1

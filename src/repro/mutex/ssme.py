@@ -200,6 +200,10 @@ class SSME(AsynchronousUnison, PrivilegeAware):
         register holds its privileged value."""
         return rows[:, :, 0] == self._privileged_value_row(order)
 
+    def privileged_rows_for(self, states, rows, order):
+        """``privileged_rows`` of one state array restricted to ``rows``."""
+        return states[rows, 0] == self._privileged_value_row(order)[rows]
+
     def _privileged_value_row(self, order):
         """The privileged values in ``order`` as an int64 vector, cached on
         the identity of ``order`` (engines pass one tuple for a whole run)."""

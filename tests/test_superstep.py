@@ -21,6 +21,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import vector as vector_module
 from repro.core import (
     ArrayKernel,
     CentralDaemon,
@@ -41,7 +42,7 @@ from repro.exceptions import SimulationError
 from repro.graphs import grid_graph, random_connected_graph, ring_graph, star_graph
 from repro.lowerbound import immediate_double_privilege_configuration
 from repro.mutex import SSME, DijkstraTokenRing
-from repro.mutex.specification import MutualExclusionSpec
+from repro.mutex.specification import MutualExclusionSpec, PrivilegeCount
 from repro.unison import AsynchronousUnison, AsynchronousUnisonSpec
 
 
@@ -764,3 +765,293 @@ def test_superstep_runs_build_no_enabled_set_unless_read(factory, monkeypatch):
     assert execution.enabled_at(3) is enabled
     assert execution.selection(3) is enabled
     assert builds.calls == 1
+
+
+# --------------------------------------------------------------------- #
+# Dense steps fire by mask; the enabled mask and privilege are tracked
+# --------------------------------------------------------------------- #
+BRANCH_PROTOCOLS = {
+    "unison": lambda: AsynchronousUnison(ring_graph(30), validate_parameters=False),
+    "ssme": lambda: SSME(grid_graph(4, 6)),
+    "dijkstra": lambda: DijkstraTokenRing(ring_graph(30), K=4),
+}
+
+
+def _force_dense(monkeypatch, dense):
+    """Make every step and refresh dense (True) or sparse (False)."""
+    monkeypatch.setattr(vector_module, "_dense", lambda rows, n: dense)
+
+
+def _idle_rows(protocol, engine, states, rule_ids, rows):
+    """Make firing ``rows`` change nothing: unison/SSME reset rows already
+    at ``-alpha``; Dijkstra non-bottom rows copying an equal predecessor
+    (a bottom row among ``rows`` is disabled instead)."""
+    if isinstance(protocol, DijkstraTokenRing):
+        kernel = engine._kernel
+        for row in rows:
+            if kernel._is_bottom[row]:
+                rule_ids[row] = -1
+            else:
+                states[row, 0] = states[kernel._pred_pos[row], 0]
+                rule_ids[row] = 0
+    else:
+        states[rows, 0] = -protocol.alpha
+        rule_ids[rows] = 2
+
+
+def _dijkstra_dense_then_sparse():
+    """Dijkstra on ring(60) from a random configuration: many privileged
+    machines at first (dense steps), one token at the end (sparse)."""
+    protocol = DijkstraTokenRing(ring_graph(60))
+    return protocol, protocol.random_configuration(random.Random(2))
+
+
+def _step_both_branches(engine, states, rule_ids, monkeypatch):
+    """``(changed, states)`` of one synchronous step from ``states`` with
+    cached ``rule_ids``, on the dense branch and on the position branch."""
+    outcomes = []
+    for dense in (True, False):
+        _force_dense(monkeypatch, dense)
+        run_state = vector_module._RunState(engine, states.copy())
+        run_state.rule_ids = rule_ids.copy()
+        run_state.mask = rule_ids != -1
+        run_state.count = int(np.count_nonzero(run_state.mask))
+        outcomes.append((run_state.step(), run_state.states))
+    return outcomes
+
+
+@pytest.mark.parametrize("protocol_name", sorted(BRANCH_PROTOCOLS))
+def test_dense_branch_matches_position_branch(protocol_name, monkeypatch):
+    """On random states and random rule ids, firing every row by mask and
+    writing the enabled ones back equals firing the enabled positions —
+    rows whose firing changes nothing included.  When only such rows are
+    enabled, neither branch reports a change, whatever the disabled rows
+    would have fired to."""
+    protocol = BRANCH_PROTOCOLS[protocol_name]()
+    engine = VectorEngine(protocol)
+    kernel, index = engine._kernel, engine._index
+    rng = np.random.default_rng(7)
+    for seed in range(12):
+        states = engine.encode_initial(protocol.random_configuration(random.Random(seed)))
+        rule_ids = rng.integers(-1, len(kernel.rule_names), index.n)
+        idle = np.arange(seed % 3, index.n, 5)
+        _idle_rows(protocol, engine, states, rule_ids, idle)
+        idle_only = np.full(index.n, -1, dtype=np.int64)
+        idle_only[idle] = rule_ids[idle]
+        for rids in (rule_ids, idle_only):
+            positions = np.flatnonzero(rids != -1)
+            every = kernel.fire(states, slice(None), rids, index)
+            assert np.array_equal(
+                every[positions], kernel.fire(states, positions, rids[positions], index)
+            )
+            (dense_changed, dense_states), (sparse_changed, sparse_states) = (
+                _step_both_branches(engine, states, rids, monkeypatch)
+            )
+            assert dense_changed == sparse_changed
+            assert np.array_equal(dense_states, sparse_states)
+            assert np.array_equal(dense_states[rids == -1], states[rids == -1])
+        # The last step above enabled only idle rows: nothing changed.
+        assert positions.size and not dense_changed
+        assert np.array_equal(dense_states, states)
+
+
+def test_run_state_tracks_rule_ids_mask_and_count():
+    """Through dense steps, sparse patches and full rescans, the tracked
+    rule ids, mask and count equal a fresh guard evaluation."""
+    protocol, initial = _dijkstra_dense_then_sparse()
+    engine = VectorEngine(protocol)
+    run_state = vector_module._RunState(engine, engine.encode_initial(initial))
+    patched = 0
+    for _ in range(200):
+        run_state.step()
+        patched += run_state.dirty is not None
+        expected = engine._kernel.enabled_rules(run_state.states, engine._index)
+        assert np.array_equal(run_state.rule_ids, expected)
+        assert np.array_equal(run_state.mask, expected != -1)
+        assert run_state.count == int(np.count_nonzero(expected != -1))
+        assert np.array_equal(run_state.positions(), np.flatnonzero(expected != -1))
+    assert patched > 0
+
+
+@pytest.mark.parametrize("protocol_name", sorted(BRANCH_PROTOCOLS))
+@pytest.mark.parametrize("dense", [True, False], ids=["all-dense", "all-sparse"])
+def test_forced_branches_replay_the_same_run(protocol_name, dense, monkeypatch):
+    """Whole runs with every step forced onto one branch equal the
+    single-step loop: the tracked mask, count and rule ids stay exact."""
+    protocol = BRANCH_PROTOCOLS[protocol_name]()
+    initial = protocol.random_configuration(random.Random(3))
+    engine = VectorEngine(protocol)
+    single = engine.run(
+        SynchronousDaemon(), random.Random(0), initial, max_steps=120, trace="light"
+    )
+    _force_dense(monkeypatch, dense)
+    batched = engine.run_supersteps(
+        SynchronousDaemon(), random.Random(0), initial, max_steps=120,
+        trace="light", superstep=16,
+    )
+    recorded = batched._enabled_sets._positions
+    assert all((r.dtype == bool) == dense for r in recorded)
+    _assert_same_trace(batched, single)
+
+
+def test_sparse_steps_leave_recorded_dense_masks_intact():
+    """A sparse refresh patches the tracked mask in place; the masks that
+    dense steps recorded before it must keep their own configuration's
+    enabled set."""
+    protocol, initial = _dijkstra_dense_then_sparse()
+    engine = VectorEngine(protocol)
+    single = engine.run(
+        SynchronousDaemon(), random.Random(0), initial, max_steps=200, trace="light"
+    )
+    batched = engine.run_supersteps(
+        SynchronousDaemon(), random.Random(0), initial, max_steps=200, trace="light"
+    )
+    recorded = batched._enabled_sets._positions
+    kinds = [r.dtype == bool for r in recorded]
+    handover = [i for i in range(len(kinds) - 1) if kinds[i] and not kinds[i + 1]]
+    assert handover, "the run never went from a dense step to a sparse one"
+    assert not any(kinds[handover[-1] + 1 :])
+    for i in range(len(recorded)):
+        assert batched.enabled_at(i) == single.enabled_at(i), i
+
+
+def test_steady_state_unison_records_one_shared_mask():
+    """All 64 clocks tick at every step: one mask object serves the whole
+    run, so long steady-state runs keep one record, not one per step."""
+    protocol = AsynchronousUnison(ring_graph(64), validate_parameters=False)
+    execution = VectorEngine(protocol).run_supersteps(
+        SynchronousDaemon(), random.Random(0), protocol.legitimate_configuration(),
+        max_steps=300, trace="light",
+    )
+    recorded = execution._enabled_sets._positions
+    assert len(recorded) == 301
+    assert len({id(r) for r in recorded}) == 1
+    assert recorded[0].dtype == bool and recorded[0].all()
+
+
+@pytest.mark.parametrize("protocol_name", sorted(BRANCH_PROTOCOLS))
+@pytest.mark.parametrize("trace", ["full", "light"])
+def test_replayed_actions_after_dense_steps_match_single_step(protocol_name, trace):
+    protocol = BRANCH_PROTOCOLS[protocol_name]()
+    initial = protocol.random_configuration(random.Random(8))
+    engine = VectorEngine(protocol)
+    single = engine.run(
+        SynchronousDaemon(), random.Random(0), initial, max_steps=90, trace=trace
+    )
+    batched = engine.run_supersteps(
+        SynchronousDaemon(), random.Random(0), initial, max_steps=90,
+        trace=trace, superstep=7,
+    )
+    assert any(r.dtype == bool for r in batched._enabled_sets._positions)
+    _assert_same_trace(batched, single)
+    # Backward, non-sequential reads replay from checkpoints.
+    for i in (89, 3, 50, 6, 7, 0):
+        assert _records(batched, i) == _records(single, i), i
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [lambda: SSME(grid_graph(3, 5)), lambda: DijkstraTokenRing(ring_graph(13), K=5)],
+    ids=["ssme", "dijkstra"],
+)
+def test_privileged_rows_for_matches_privileged_rows(factory):
+    protocol = factory()
+    codec = protocol.array_codec()
+    order = tuple(protocol.graph.vertices)
+    rng = random.Random(5)
+    for seed in range(10):
+        states = codec.encode(protocol.random_configuration(random.Random(seed)), order)
+        full = protocol.privileged_rows(states[None], order)[0]
+        for size in (0, 1, 3, len(order)):
+            rows = np.array(sorted(rng.sample(range(len(order)), size)), dtype=np.int64)
+            assert np.array_equal(
+                protocol.privileged_rows_for(states, rows, order), full[rows]
+            )
+
+
+class _RecountedPrivilege:
+    """A spec_ME tracker whose count is checked against a full recount
+    after every update."""
+
+    def __init__(self, tracker, protocol, order, log):
+        self._tracker = tracker
+        self._protocol = protocol
+        self._order = order
+        self._log = log
+
+    def update(self, states, rows):
+        safe = self._tracker.update(states, rows)
+        expected = int(self._protocol.privileged_rows(states[None], self._order)[0].sum())
+        assert self._tracker.count == expected
+        assert safe == (expected <= 1)
+        self._log.append((None if rows is None else rows.copy(), expected))
+        return safe
+
+
+class _RecountedSpec(MutualExclusionSpec):
+    def __init__(self, protocol):
+        super().__init__(protocol)
+        self.log = []
+
+    def safety_tracker(self, order, protocol):
+        tracker = super().safety_tracker(order, protocol)
+        assert isinstance(tracker, PrivilegeCount)
+        return _RecountedPrivilege(tracker, self._protocol, order, self.log)
+
+
+def _sawtooth(protocol):
+    """Clocks ``min(i, n - i)`` around the ring: only the minimum is
+    enabled at first, so SSME's first steps are sparse."""
+    n = protocol.graph.n
+    return protocol.configuration({v: min(v, n - v) for v in protocol.graph.vertices})
+
+
+@pytest.mark.parametrize(
+    "case", ["ssme-random", "ssme-sawtooth", "dijkstra-random", "dijkstra-wrap"]
+)
+def test_tracked_privileged_count_matches_a_full_recount(case):
+    """After every changing step the tracked count equals
+    ``privileged_rows(...).sum()``: through dense recounts and sparse
+    patches, the bottom machine's firings and its K-1 -> 0 wrap."""
+    if case.startswith("ssme"):
+        protocol = SSME(ring_graph(24))
+        initial = (
+            _sawtooth(protocol) if case == "ssme-sawtooth"
+            else protocol.random_configuration(random.Random(4))
+        )
+        horizon = 400
+    else:
+        protocol = DijkstraTokenRing(ring_graph(9), K=10)
+        initial = (
+            protocol.legitimate_configuration(value=7) if case == "dijkstra-wrap"
+            else protocol.random_configuration(random.Random(4))
+        )
+        horizon = 150
+    spec = _RecountedSpec(protocol)
+    monitor = SafetyMonitor([spec], protocol)
+    execution = VectorEngine(protocol).run_supersteps(
+        SynchronousDaemon(), random.Random(0), initial, max_steps=horizon,
+        stop_when=monitor.observe, trace="light",
+    )
+    assert execution.steps == horizon
+    assert spec.log[0][0] is None
+    sparse = [(rows, count) for rows, count in spec.log if rows is not None]
+    # A random SSME start is dense at every step: full recounts only.
+    assert bool(sparse) == (case != "ssme-random")
+    if case.startswith("dijkstra"):
+        order = VectorEngine(protocol)._index.vertices
+        bottom = order.index(protocol.bottom)
+        assert any(bottom in rows for rows, _count in sparse)
+        values = [c[protocol.bottom] for c in execution.iter_configurations()]
+        assert any(
+            (a, b) == (protocol.K - 1, 0) for a, b in zip(values, values[1:])
+        ), "the bottom machine never wrapped K-1 -> 0"
+    reference = SafetyMonitor([MutualExclusionSpec(protocol)], protocol)
+    Simulator(
+        protocol, SynchronousDaemon(), rng=random.Random(0), engine="reference",
+        trace="light",
+    ).run(initial, max_steps=horizon, stop_when=reference.observe)
+    for query in ("first_unsafe_index", "last_unsafe_index", "stabilization_index"):
+        assert getattr(monitor, query)(spec) == getattr(reference, query)(
+            reference.specifications[0]
+        )
