@@ -9,18 +9,16 @@ Usage::
 Three sections are written to the JSON:
 
 * ``headline_verify`` — deterministic certification facts (state counts,
-  exact worst cases, quotient sizes) on instances cheap enough for CI.
-  Every value is engine-independent by construction: the batched array
-  engine and the pure-Python dict engine are bit-identical, and the
-  symmetry quotient preserves every per-configuration value.  CI
+  exact worst cases) on instances cheap enough for CI.  Every value is
+  engine-independent by construction: the batched array engine and the
+  pure-Python dict engine are bit-identical.  CI
   recomputes this section under ``engine="auto"`` (the batched engine on
   every instance here) and compares it *exactly* against the committed
   file (report-only).
 * ``throughput`` — wall-clock comparisons of the dict and batched engines
   on the same instances, including the headline speedup row (Dijkstra
   ring(8), full 390k-state product, synchronous class; target >= 20x on
-  expansion) and the symmetry-quotient compression row.  Timing is
-  machine-dependent and never compared by CI.
+  expansion).  Timing is machine-dependent and never compared by CI.
 * ``frontier`` — the certification rows only the vectorized checker
   reaches in reasonable time: exact speculation gaps on SSME rings
   n = 10 and 12 (1.3M and 15M central-class states) and the synchronous
@@ -45,7 +43,6 @@ from repro.mutex import SSME, DijkstraTokenRing, MutualExclusionSpec
 from repro.unison import AsynchronousUnison, AsynchronousUnisonSpec
 from repro.verify import (
     StateSpace,
-    SymmetryReducer,
     exact_speculation_gap,
     verify_stabilization,
 )
@@ -98,15 +95,6 @@ def deterministic_headline() -> Dict[str, Dict[str, object]]:
     specification = AsynchronousUnisonSpec(protocol)
     full = verify_stabilization(protocol, specification, "synchronous")
     rows["unison-ring4-synchronous-full"] = _result_facts(full)
-    quotient = verify_stabilization(
-        protocol, specification, "synchronous", symmetry=True
-    )
-    facts = _result_facts(quotient)
-    facts["full_states"] = full.state_count
-    facts["group_size"] = SymmetryReducer.for_instance(
-        protocol, specification, StateSpace(protocol)
-    ).group_size
-    rows["unison-ring4-synchronous-quotient"] = facts
 
     return rows
 
@@ -162,30 +150,6 @@ def throughput_rows() -> Dict[str, Dict[str, object]]:
         "target_met": expand_speedup >= SPEEDUP_TARGET,
     }
 
-    # Quotient compression: the 2n-fold ring dihedral group on unison.
-    protocol = AsynchronousUnison(ring_graph(6), alpha=4, K=8)
-    specification = AsynchronousUnisonSpec(protocol)
-    t0 = time.perf_counter()
-    full = verify_stabilization(
-        protocol, specification, "synchronous",
-        engine="batched", max_states=4_000_000,
-    )
-    t1 = time.perf_counter()
-    quotient = verify_stabilization(
-        protocol, specification, "synchronous",
-        engine="batched", symmetry=True, max_states=4_000_000,
-    )
-    t2 = time.perf_counter()
-    rows["unison-ring6-synchronous-quotient"] = {
-        "full_states": full.state_count,
-        "quotient_states": quotient.state_count,
-        "compression_ratio": round(full.state_count / quotient.state_count, 2),
-        "group_size": 12,
-        "exact_worst_steps": full.exact_worst_case,
-        "quotient_worst_steps": quotient.exact_worst_case,
-        "full_seconds": round(t1 - t0, 2),
-        "quotient_seconds": round(t2 - t1, 2),
-    }
     return rows
 
 

@@ -81,17 +81,6 @@ class Protocol(ABC):
     #: actually holds for every rule.
     actions_preserve_validity: bool = False
 
-    #: Whether the protocol is *anonymous*: its rules read only local state
-    #: and the neighbour state multiset, never vertex identities, so every
-    #: graph automorphism maps executions to executions.  Required (together
-    #: with the specification-side flag) for the exact checker's symmetry
-    #: quotient (:class:`repro.verify.SymmetryReducer`).  Leave False unless
-    #: the equivariance property actually holds for every rule — identity-
-    #: dependent protocols (SSME's privileged values, BFS roots, matching
-    #: identities) must keep it False even when a symmetric superclass sets
-    #: it True.
-    vertex_symmetric: bool = False
-
     def has_stock_enabledness(self) -> bool:
         """Whether this protocol keeps the base-class enabledness chain.
 

@@ -36,14 +36,6 @@ class Specification(ABC):
     #: Human-readable name ("spec_ME", "spec_AU", ...).
     name: str = "spec"
 
-    #: Whether the safety predicate is invariant under graph automorphisms
-    #: (``is_safe(g·γ) == is_safe(γ)`` for every automorphism ``g``).  The
-    #: exact checker's symmetry quotient requires this *and* the protocol's
-    #: :attr:`repro.core.Protocol.vertex_symmetric`.  Identity-dependent
-    #: specifications (mutual exclusion over identity-spaced privileged
-    #: values, rooted trees) must keep it False.
-    vertex_symmetric: bool = False
-
     # ------------------------------------------------------------------ #
     # Safety
     # ------------------------------------------------------------------ #

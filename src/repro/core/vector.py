@@ -787,29 +787,27 @@ class _SuperstepActionLog(Sequence):
             self._vertices, self._names, self._codec,
         )
 
-    def activated_positions(self, index: int):
-        """Row positions fired by action ``index`` (no state decoding)."""
-        return self._replayer.step_data(self._position_index(index))[0]
-
 
 class _SuperstepActivations(LazyActivations):
     """:class:`LazyActivations` whose aggregates avoid replaying.
 
     ``moves()`` reads the per-step selection counts the superstep loop
-    recorded as plain ints, and ``activated_vertices`` maps replayed row
-    positions straight to vertex ids without decoding any state — keeping
-    round counting on big-n light traces out of the codec entirely.
+    recorded as plain ints, and ``activated_vertices`` returns the step's
+    recorded selection: under the synchronous daemon every enabled vertex
+    fires, so round counting on big-n light traces never runs the kernel.
     """
 
-    __slots__ = ()
+    __slots__ = ("_selections",)
+
+    def __init__(self, log: _SuperstepActionLog, selections) -> None:
+        super().__init__(log)
+        self._selections = selections
 
     def moves(self) -> int:
         return sum(self._raw._counts)
 
     def activated_vertices(self, index: int):
-        raw = self._raw
-        positions = raw.activated_positions(index)
-        return set(map(raw._vertices.__getitem__, positions.tolist()))
+        return self._selections[index]
 
 
 class _SuperstepDeltaLog(DeltaLog):
@@ -1454,7 +1452,7 @@ class VectorEngine:
         action_log = _SuperstepActionLog(
             replayer, step_counts, vertices, kernel.rule_names, codec
         )
-        activations = _SuperstepActivations(action_log)
+        activations = _SuperstepActivations(action_log, selections)
         if light:
             return Execution.from_activations(
                 initial=initial,

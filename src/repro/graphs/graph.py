@@ -252,60 +252,3 @@ class Graph:
         """Vertices sorted by ``repr`` — a deterministic order independent of
         insertion order, used by daemons and workload generators."""
         return sorted(self._vertices, key=repr)
-
-    def automorphisms(self, limit: int = 100_000) -> List[Dict[VertexId, VertexId]]:
-        """Every graph automorphism, as vertex -> image mappings.
-
-        Generic backtracking over the ``repr``-sorted vertex order with
-        degree and mapped-neighbourhood pruning — exponential in the worst
-        case, but instant on the small, rigid-or-dihedral instances the
-        exact checker handles (the symmetry quotient uses a closed form on
-        rings and only falls back here).  ``limit`` bounds the group size:
-        highly symmetric graphs (cliques: ``n!`` automorphisms) raise
-        instead of silently enumerating forever.
-
-        The identity is always included; the result order is deterministic
-        (lexicographic in the image sequence over sorted vertices).
-        """
-        order = list(self.sorted_vertices())
-        n = len(order)
-        degree = {v: len(self._adjacency[v]) for v in order}
-        # Candidate images per degree class, precomputed once.
-        by_degree: Dict[int, List[VertexId]] = {}
-        for v in order:
-            by_degree.setdefault(degree[v], []).append(v)
-        found: List[Dict[VertexId, VertexId]] = []
-        image: Dict[VertexId, VertexId] = {}
-        used: set = set()
-
-        def extend(position: int) -> None:
-            if position == n:
-                found.append(dict(image))
-                if len(found) > limit:
-                    raise GraphError(
-                        f"graph has more than {limit} automorphisms; raise "
-                        "limit or disable the symmetry quotient"
-                    )
-                return
-            vertex = order[position]
-            for candidate in by_degree[degree[vertex]]:
-                if candidate in used:
-                    continue
-                # Adjacency with every already-mapped vertex must match.
-                consistent = True
-                for mapped in image:
-                    if (mapped in self._adjacency[vertex]) != (
-                        image[mapped] in self._adjacency[candidate]
-                    ):
-                        consistent = False
-                        break
-                if not consistent:
-                    continue
-                image[vertex] = candidate
-                used.add(candidate)
-                extend(position + 1)
-                used.discard(candidate)
-                del image[vertex]
-
-        extend(0)
-        return found

@@ -83,11 +83,6 @@ class SSME(AsynchronousUnison, PrivilegeAware):
 
     name = "SSME"
 
-    #: Privileged values are spaced by vertex *identity* (``2n + 2·diam·id``),
-    #: so automorphisms do not map executions of the mutual-exclusion layer
-    #: to executions: the unison superclass's symmetry does not survive.
-    vertex_symmetric = False
-
     def __init__(self, graph: Graph, diam: Optional[int] = None) -> None:
         computed_diam = diameter(graph) if diam is None else diam
         if diam is not None and graph.n <= _DIAM_VALIDATION_LIMIT:

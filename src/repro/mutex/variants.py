@@ -61,10 +61,6 @@ class ParametricClockMutex(AsynchronousUnison, PrivilegeAware):
 
     name = "parametric-clock-mutex"
 
-    #: Identity-spaced privileged values, like SSME: not automorphism-
-    #: equivariant despite the symmetric unison superclass.
-    vertex_symmetric = False
-
     def __init__(
         self,
         graph: Graph,

@@ -78,13 +78,6 @@ class AsynchronousUnison(Protocol):
     #: may skip re-validating fired states.
     actions_preserve_validity = True
 
-    #: The rules read only the vertex's own register and its neighbours'
-    #: register *values* (never identities), so every graph automorphism is
-    #: a symmetry of the protocol.  Identity-dependent subclasses (SSME's
-    #: privileged values, the parametric variants) override this back to
-    #: False.
-    vertex_symmetric = True
-
     #: Rule labels, matching Algorithm 1.
     RULE_NORMAL = "NA"
     RULE_CONVERGE = "CA"

@@ -24,10 +24,6 @@ class AsynchronousUnisonSpec(Specification):
 
     name = "spec_AU"
 
-    #: Γ₁ membership (correct registers, drift ≤ 1 over edges) only reads
-    #: register values over the edge set, which automorphisms preserve.
-    vertex_symmetric = True
-
     def __init__(self, protocol: AsynchronousUnison) -> None:
         if not isinstance(protocol, AsynchronousUnison):
             raise SpecificationError(

@@ -17,18 +17,12 @@ package closes that gap on small instances by explicit-state game solving:
   an extracted :class:`LassoCounterexample`, and the exact speculation gap
   (:func:`exact_speculation_gap`).
 
-Two orthogonal accelerations keep exactness while scaling the reach
-(``verify_stabilization(engine=..., symmetry=...)`` turns them on):
-
-* :class:`BatchedTransitionSystem` / :func:`solve_arrays`
-  (:mod:`repro.verify.batched`) re-run the same exploration and game as
-  NumPy array programs over the PR 3 kernel machinery — thousands of
-  configurations expanded per kernel call, CSR frontier/value sweeps —
-  bit-identical to the dict path and picked automatically when available;
-* :class:`SymmetryReducer` (:mod:`repro.verify.symmetry`) quotients the
-  exploration by the graph automorphism group when the protocol and the
-  specification both declare ``vertex_symmetric`` (up to ``2n``-fold on
-  rings).
+:class:`BatchedTransitionSystem` / :func:`solve_arrays`
+(:mod:`repro.verify.batched`) re-run the same exploration and game as NumPy
+array programs over the PR 3 kernel machinery — thousands of configurations
+expanded per kernel call, CSR frontier/value sweeps — bit-identical to the
+dict path and picked automatically when available
+(``verify_stabilization(engine=...)`` chooses).
 
 See ``docs/verify.md`` for the encoding, the expansion rules, the solver
 semantics, and when exact verification applies versus sampling.
@@ -51,7 +45,6 @@ from .solver import (
     verify_stabilization,
 )
 from .statespace import DEFAULT_MAX_ENUMERATED, StateSpace
-from .symmetry import SymmetryReducer, ring_automorphisms
 from .transitions import (
     DAEMON_CLASSES,
     ExploredSystem,
@@ -71,14 +64,12 @@ __all__ = [
     "LassoCounterexample",
     "SpeculationGapCertificate",
     "StateSpace",
-    "SymmetryReducer",
     "TransitionSystem",
     "VerificationResult",
     "batched_supported",
     "daemon_class_selections",
     "exact_speculation_gap",
     "exact_worst_case_stabilization",
-    "ring_automorphisms",
     "solve",
     "solve_arrays",
     "verify_stabilization",

@@ -21,8 +21,7 @@ array programs over the PR 3 kernel machinery:
   No successor configuration is materialized to compute its key: a
   selection's key columns are its parent's plus the fired digits' deltas
   times their mixed-radix multipliers, and index rows are built only for
-  newly discovered states (for every successor under a symmetry
-  reducer, which canonicalizes rows).
+  newly discovered states.
 
 * **State identity without bignums** (:class:`ArrayPacker`).  Mixed-radix
   keys overflow int64 already on SSME's ring(10) (``126¹⁰ > 2⁶³``), so the
@@ -68,7 +67,6 @@ from ..core.vector import (
 )
 from ..exceptions import VerificationError
 from .statespace import StateSpace
-from .symmetry import SymmetryReducer
 from .transitions import (
     DAEMON_CLASSES,
     DEFAULT_MAX_SELECTIONS,
@@ -367,7 +365,6 @@ class ArrayExploredSystem:
         "daemon_class",
         "exhaustive",
         "packer",
-        "reducer",
         "index_matrix",
         "indptr",
         "succ",
@@ -384,7 +381,6 @@ class ArrayExploredSystem:
         daemon_class: str,
         exhaustive: bool,
         packer: ArrayPacker,
-        reducer: Optional[SymmetryReducer],
         index_matrix,
         indptr,
         succ,
@@ -396,7 +392,6 @@ class ArrayExploredSystem:
         self.daemon_class = daemon_class
         self.exhaustive = exhaustive
         self.packer = packer
-        self.reducer = reducer
         self.index_matrix = index_matrix
         self.indptr = indptr
         self.succ = succ
@@ -408,7 +403,7 @@ class ArrayExploredSystem:
 
     @property
     def state_count(self) -> int:
-        """Number of explored configurations (orbits under a reducer)."""
+        """Number of explored configurations."""
         return int(self.index_matrix.shape[0])
 
     @property
@@ -487,10 +482,8 @@ class BatchedTransitionSystem:
     """Vectorized daemon-class expansion (see the module docstring).
 
     Drop-in analogue of :class:`~repro.verify.TransitionSystem`: same
-    constructor semantics plus an optional :class:`SymmetryReducer`
-    (``reducer``) that canonicalizes every discovered state to its orbit
-    representative before dedup, and a ``batch_blocks`` knob for the number
-    of configurations stacked per kernel call.
+    constructor semantics plus a ``batch_blocks`` knob for the number of
+    configurations stacked per kernel call.
     """
 
     __slots__ = (
@@ -500,7 +493,6 @@ class BatchedTransitionSystem:
         "_daemon_class",
         "_max_states",
         "_max_selections",
-        "_reducer",
         "_blocks",
         "_packer",
         "_codec",
@@ -520,7 +512,6 @@ class BatchedTransitionSystem:
         space: Optional[StateSpace] = None,
         max_states: int = DEFAULT_MAX_STATES,
         max_selections: int = DEFAULT_MAX_SELECTIONS,
-        reducer: Optional[SymmetryReducer] = None,
         batch_blocks: int = DEFAULT_BATCH_BLOCKS,
     ) -> None:
         if daemon_class not in DAEMON_CLASSES:
@@ -547,7 +538,6 @@ class BatchedTransitionSystem:
         self._daemon_class = daemon_class
         self._max_states = max_states
         self._max_selections = max_selections
-        self._reducer = reducer
         self._blocks = max(1, int(batch_blocks))
         self._packer = ArrayPacker(self._space, codec)
         self._codec = codec
@@ -579,11 +569,6 @@ class BatchedTransitionSystem:
     def daemon_class(self) -> str:
         """The daemon class being expanded."""
         return self._daemon_class
-
-    @property
-    def reducer(self) -> Optional[SymmetryReducer]:
-        """The symmetry reducer in effect (``None`` = no quotient)."""
-        return self._reducer
 
     # ------------------------------------------------------------------ #
     # Entry points (same contract as TransitionSystem)
@@ -618,17 +603,17 @@ class BatchedTransitionSystem:
             if state.dense:
                 initial_nodes = np.arange(size, dtype=np.int64)
             else:
-                # Quotient (or multi-column) exhaustive mode: stream every
-                # key through canonicalization + the registry first; the
-                # closure then discovers nothing new.
+                # Multi-column exhaustive mode: stream every key through
+                # the registry first; the closure then discovers nothing new.
                 for start in range(0, size, self._blocks):
                     stop = min(start + self._blocks, size)
-                    idx = self._canonical(self._dense_indices(start, stop))
+                    idx = self._dense_indices(start, stop)
                     state.nodes_of(self._packer.key_columns(idx), idx.__getitem__)
                 initial_nodes = np.arange(state.node_count, dtype=np.int64)
         else:
-            idx = self._canonical(seed_idx)
-            seed_nodes = state.nodes_of(self._packer.key_columns(idx), idx.__getitem__)
+            seed_nodes = state.nodes_of(
+                self._packer.key_columns(seed_idx), seed_idx.__getitem__
+            )
             initial_nodes = np.asarray(
                 list(dict.fromkeys(seed_nodes.tolist())), dtype=np.int64
             )
@@ -657,11 +642,6 @@ class BatchedTransitionSystem:
         for i, radix in enumerate(self._packer._radices):
             remainder, out[:, i] = np.divmod(remainder, radix)
         return out
-
-    def _canonical(self, idx):
-        if self._reducer is None:
-            return idx
-        return self._reducer.canonicalize_index_matrix(idx, self._packer)
 
     # -- one frontier batch ------------------------------------------- #
     def _expand_batch(self, state: "_ExpansionState", frontier_idx, frontier_ids) -> None:
@@ -703,24 +683,17 @@ class BatchedTransitionSystem:
                 rows[owner, pair_row[fired[spans]]] = digits[fired[spans]]
                 return rows
 
-            if self._reducer is None:
-                # Key delta: a selection's key columns are its parent's plus
-                # Σ (new − old digit) · local multiplier, added into each
-                # fired row's column group.  ``digits`` is int64, so the
-                # difference with the narrow parent digits cannot wrap.
-                delta = (digits - frontier_idx.ravel()[pairs]) * packer._local_mult[pair_row]
-                group = packer._group_of[pair_row[fired]]
-                cols = packer.key_columns(frontier_idx)[sel_parent]
-                for c in range(cols.shape[1]):
-                    cols[:, c] += np.add.reduceat(
-                        np.where(group == c, delta[fired], 0), sel_start
-                    )
-            else:
-                # Canonicalization permutes whole rows, so every successor
-                # needs its rows; the registry then stores canonical ones.
-                succ_idx = self._canonical(rows_at(np.arange(sel_parent.size)))
-                cols = packer.key_columns(succ_idx)
-                rows_at = succ_idx.__getitem__
+            # Key delta: a selection's key columns are its parent's plus
+            # Σ (new − old digit) · local multiplier, added into each fired
+            # row's column group.  ``digits`` is int64, so the difference
+            # with the narrow parent digits cannot wrap.
+            delta = (digits - frontier_idx.ravel()[pairs]) * packer._local_mult[pair_row]
+            group = packer._group_of[pair_row[fired]]
+            cols = packer.key_columns(frontier_idx)[sel_parent]
+            for c in range(cols.shape[1]):
+                cols[:, c] += np.add.reduceat(
+                    np.where(group == c, delta[fired], 0), sel_start
+                )
             # Per-parent first-occurrence dedup, preserving the deterministic
             # selection order (the dict path's dict.fromkeys over encode_many);
             # the same sort lists the round's distinct keys for the registry.
@@ -853,9 +826,9 @@ class _ExpansionState:
         packer = system._packer
         self._system = system
         self.exhaustive = exhaustive
-        # Dense mode: exhaustive, no quotient, keys fit int64 — node id IS
-        # the key, no registry at all.
-        self.dense = exhaustive and system._reducer is None and packer.packable
+        # Dense mode: exhaustive and keys fit int64 — node id IS the key,
+        # no registry at all.
+        self.dense = exhaustive and packer.packable
         self.node_count = system.space.size if self.dense else 0
         bound = self.node_count if self.dense else system._max_states
         self.node_dtype = np.int32 if bound < (1 << 31) else np.int64
@@ -951,7 +924,6 @@ class _ExpansionState:
             daemon_class=system.daemon_class,
             exhaustive=self.exhaustive,
             packer=system._packer,
-            reducer=system._reducer,
             index_matrix=index_matrix,
             indptr=indptr,
             succ=succ,
@@ -1204,7 +1176,6 @@ class ArrayGameSolution:
             legitimate=legitimate,
             values=values,
             diverging=diverging,
-            reducer=self.system.reducer,
         )
 
     def lasso(self):
@@ -1253,7 +1224,6 @@ class ArrayGameSolution:
             legitimate=frozenset(),
             values={},
             diverging=frozenset(diverging_keys),
-            reducer=asys.reducer,
         ).lasso()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -110,7 +110,6 @@ class VerificationResult:
         "_values",
         "_legitimate_keys",
         "_space",
-        "_reducer",
     )
 
     def __init__(
@@ -129,7 +128,6 @@ class VerificationResult:
         values: Dict[int, int],
         legitimate_keys: FrozenSet[int],
         space,
-        reducer=None,
     ) -> None:
         self.protocol_name = protocol_name
         self.specification_name = specification_name
@@ -145,29 +143,19 @@ class VerificationResult:
         self._values = values
         self._legitimate_keys = legitimate_keys
         self._space = space
-        # Under a symmetry quotient, stored keys are orbit representatives:
-        # per-configuration queries canonicalize before lookup, so callers
-        # see exactly the full-system answers (values are orbit-invariant).
-        self._reducer = reducer
 
     # ------------------------------------------------------------------ #
     # Per-configuration queries
     # ------------------------------------------------------------------ #
-    def _key_of(self, configuration: Configuration) -> int:
-        key = self._space.encode(configuration)
-        if self._reducer is not None:
-            key = self._reducer.canonical_key(key)
-        return key
-
     def value_of(self, configuration: Configuration) -> Optional[int]:
         """The exact worst-case stabilization time from ``configuration``
         (``None`` when the adversary can prevent stabilization from it).
         The configuration must belong to the verified region."""
-        return self._values.get(self._key_of(configuration))
+        return self._values.get(self._space.encode(configuration))
 
     def is_certified_legitimate(self, configuration: Configuration) -> bool:
         """Whether ``configuration`` belongs to the certified attractor."""
-        return self._key_of(configuration) in self._legitimate_keys
+        return self._space.encode(configuration) in self._legitimate_keys
 
     def legitimate_configurations(self) -> List[Configuration]:
         """The decoded certified legitimate attractor (small instances)."""

@@ -47,7 +47,6 @@ from ..core.state import Configuration
 from ..exceptions import VerificationError
 from .results import LassoCounterexample, SpeculationGapCertificate, VerificationResult
 from .statespace import StateSpace
-from .symmetry import SymmetryReducer
 from .transitions import ExploredSystem, TransitionSystem, daemon_class_selections
 
 
@@ -71,7 +70,7 @@ __all__ = [
 class GameSolution:
     """The solved game on one explored system (see the module docstring)."""
 
-    __slots__ = ("system", "legitimate", "values", "diverging", "reducer")
+    __slots__ = ("system", "legitimate", "values", "diverging")
 
     def __init__(
         self,
@@ -79,15 +78,11 @@ class GameSolution:
         legitimate: FrozenSet[int],
         values: Dict[int, int],
         diverging: FrozenSet[int],
-        reducer=None,
     ) -> None:
         self.system = system
         self.legitimate = legitimate
         self.values = values
         self.diverging = diverging
-        #: The symmetry reducer the system was explored under: keys are
-        #: orbit representatives and lassos need concrete unrolling.
-        self.reducer = reducer
 
     def worst_value_over(self, keys: Iterable[int]) -> Optional[int]:
         """Max value over ``keys`` — ``None`` if any of them diverges."""
@@ -161,8 +156,6 @@ class GameSolution:
         split = seen[current]
         stem_keys, cycle_keys = path[:split], path[split:]
         violates_safety = any(not self.system.safe[key] for key in cycle_keys)
-        if self.reducer is not None:
-            return self._concretize_lasso(stem_keys, cycle_keys, violates_safety)
         stem, stem_selections = self._decode_walk(stem_keys + cycle_keys[:1])
         cycle, cycle_selections = self._decode_walk(cycle_keys + [current])
         return LassoCounterexample(
@@ -172,80 +165,6 @@ class GameSolution:
             cycle_selections=cycle_selections,
             violates_safety=violates_safety,
         )
-
-    def _concretize_lasso(
-        self,
-        stem_keys: Sequence[int],
-        cycle_keys: Sequence[int],
-        violates_safety: bool,
-    ) -> LassoCounterexample:
-        """Unroll a quotient lasso into a genuinely replayable one.
-
-        The quotient walk is over orbit representatives: the concrete
-        successor of a representative need not be the representative of
-        the next orbit, so decoding the quotient keys directly would not
-        yield an execution.  Instead the walk is replayed with *concrete*
-        configurations — each transition picks a selection whose concrete
-        successor lands in the right orbit — and the cycle is followed
-        until a (cycle position, concrete configuration) pair repeats.
-        Each lap around the quotient cycle applies a fixed automorphism to
-        the concrete trace, so a pair repeats within ``|G|`` laps and the
-        concrete cycle covers every quotient position at least once
-        (``violates_safety`` transfers: safety is orbit-invariant by the
-        reducer's contract).
-        """
-        space = self.system.space
-        start_key = stem_keys[0] if stem_keys else cycle_keys[0]
-        current = space.decode(start_key)
-        stem_configs: List[Configuration] = []
-        stem_selections: List[FrozenSet] = []
-        if stem_keys:  # an empty stem starts on the cycle: no step to take
-            for target in list(stem_keys[1:]) + [cycle_keys[0]]:
-                stem_configs.append(current)
-                selection, current = self._concrete_step(current, target)
-                stem_selections.append(selection)
-        length = len(cycle_keys)
-        walk_configs: List[Configuration] = []
-        walk_selections: List[FrozenSet] = []
-        seen: Dict[Tuple[int, int], int] = {}
-        position = 0
-        while (position, space.encode(current)) not in seen:
-            seen[(position, space.encode(current))] = len(walk_configs)
-            walk_configs.append(current)
-            target = cycle_keys[(position + 1) % length]
-            selection, current = self._concrete_step(current, target)
-            walk_selections.append(selection)
-            position = (position + 1) % length
-        cycle_start = seen[(position, space.encode(current))]
-        return LassoCounterexample(
-            stem=stem_configs + walk_configs[:cycle_start],
-            cycle=walk_configs[cycle_start:],
-            stem_selections=stem_selections + walk_selections[:cycle_start],
-            cycle_selections=walk_selections[cycle_start:],
-            violates_safety=violates_safety,
-        )
-
-    def _concrete_step(
-        self, configuration: Configuration, target_orbit_key: int
-    ) -> Tuple[FrozenSet, Configuration]:
-        """One concrete transition into the orbit ``target_orbit_key``."""
-        space = self.system.space
-        protocol = space.protocol
-        reducer = self.reducer
-        enabled, prepared = protocol.prepared_step(configuration)
-        if not enabled:
-            return frozenset(), configuration
-        for selection in daemon_class_selections(
-            self.system.daemon_class, enabled, max_selections=1 << 62
-        ):
-            successor, _records = protocol.apply(
-                configuration, selection, prepared=prepared
-            )
-            if reducer.canonical_key(space.encode(successor)) == target_orbit_key:
-                return selection, successor
-        raise VerificationError(
-            "failed to reconstruct a quotient lasso selection"
-        )  # pragma: no cover - the walk came from the relation
 
     def _decode_walk(
         self, keys: Sequence[int]
@@ -328,7 +247,6 @@ def solve(system: ExploredSystem) -> GameSolution:
         legitimate=frozenset(legitimate),
         values=values,
         diverging=diverging,
-        reducer=getattr(system, "reducer", None),
     )
 
 
@@ -344,7 +262,6 @@ def verify_stabilization(
     max_states: Optional[int] = None,
     max_selections: Optional[int] = None,
     engine: str = "auto",
-    symmetry=False,
 ) -> VerificationResult:
     """Exactly verify one (protocol, specification, daemon class) instance.
 
@@ -361,34 +278,12 @@ def verify_stabilization(
     whenever the protocol declares the array capabilities — both engines
     produce bit-identical results by design, so the choice is purely a
     matter of speed.
-
-    ``symmetry`` opts into the automorphism quotient
-    (:mod:`repro.verify.symmetry`): ``False`` (default) explores concrete
-    configurations, ``True`` requires a sound reducer (raising when the
-    instance declares none), ``"auto"`` quotients when sound and falls back
-    to concrete exploration otherwise.  Under a quotient, state, transition
-    and legitimate *counts* are per-orbit; per-configuration values and the
-    stabilization verdict are preserved exactly.
     """
     if engine not in ("auto", "dict", "batched"):
         raise VerificationError(
             f"unknown engine {engine!r}; known: auto, dict, batched"
         )
-    if symmetry not in (False, True, "auto"):
-        raise VerificationError(
-            f"unknown symmetry mode {symmetry!r}; known: False, True, 'auto'"
-        )
     space = space if space is not None else StateSpace(protocol)
-    reducer = None
-    if symmetry is not False:
-        reducer = SymmetryReducer.for_instance(protocol, specification, space)
-        if reducer is None and symmetry is True:
-            raise VerificationError(
-                f"no sound symmetry reducer for protocol {protocol.name!r} "
-                f"under specification {specification.name!r}: both must "
-                "declare vertex_symmetric (and the automorphism group must "
-                "be non-trivial)"
-            )
     kwargs = {}
     if max_states is not None:
         kwargs["max_states"] = max_states
@@ -405,7 +300,6 @@ def verify_stabilization(
                 daemon_class,
                 initial,
                 space,
-                reducer,
                 kwargs,
             )
         except VerificationError:
@@ -415,7 +309,7 @@ def verify_stabilization(
             # the batched path cannot run (e.g. a codec layout too sparse
             # to table) — the dict engine below is always available.
     transition_system = TransitionSystem(
-        protocol, specification, daemon_class, space=space, reducer=reducer, **kwargs
+        protocol, specification, daemon_class, space=space, **kwargs
     )
     if initial is None:
         system = transition_system.explore_full()
@@ -439,7 +333,6 @@ def verify_stabilization(
         values=solution.values,
         legitimate_keys=solution.legitimate,
         space=transition_system.space,
-        reducer=reducer,
     )
 
 
@@ -449,7 +342,6 @@ def _verify_batched(
     daemon_class: str,
     initial: Optional[Iterable[Configuration]],
     space: StateSpace,
-    reducer,
     kwargs: Dict,
 ) -> VerificationResult:
     """The batched-engine body of :func:`verify_stabilization`."""
@@ -461,7 +353,7 @@ def _verify_batched(
     )
 
     transition_system = BatchedTransitionSystem(
-        protocol, specification, daemon_class, space=space, reducer=reducer, **kwargs
+        protocol, specification, daemon_class, space=space, **kwargs
     )
     if initial is None:
         system = transition_system.explore_full()
@@ -485,7 +377,6 @@ def _verify_batched(
         values=_ArrayValues(solution),
         legitimate_keys=_ArrayKeySet(solution),
         space=space,
-        reducer=reducer,
     )
 
 
@@ -513,7 +404,6 @@ def exact_speculation_gap(
     max_states: Optional[int] = None,
     max_selections: Optional[int] = None,
     engine: str = "auto",
-    symmetry=False,
 ) -> SpeculationGapCertificate:
     """The exact Definition 4 gap: both daemon classes solved on the *same*
     instance and the *same* initial region, no sampling on either side."""
@@ -528,7 +418,6 @@ def exact_speculation_gap(
         max_states=max_states,
         max_selections=max_selections,
         engine=engine,
-        symmetry=symmetry,
     )
     weak = verify_stabilization(
         protocol,
@@ -539,6 +428,5 @@ def exact_speculation_gap(
         max_states=max_states,
         max_selections=max_selections,
         engine=engine,
-        symmetry=symmetry,
     )
     return SpeculationGapCertificate(strong=strong, weak=weak)

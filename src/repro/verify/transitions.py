@@ -121,7 +121,6 @@ class ExploredSystem:
         "initial_keys",
         "terminal_keys",
         "exhaustive",
-        "reducer",
     )
 
     def __init__(
@@ -134,7 +133,6 @@ class ExploredSystem:
         initial_keys: List[int],
         terminal_keys: FrozenSet[int],
         exhaustive: bool,
-        reducer=None,
     ) -> None:
         self.space = space
         self.daemon_class = daemon_class
@@ -144,9 +142,6 @@ class ExploredSystem:
         self.initial_keys = initial_keys
         self.terminal_keys = terminal_keys
         self.exhaustive = exhaustive
-        #: The symmetry reducer the exploration quotiented under (``None``
-        #: when keys are concrete configurations, not orbit representatives).
-        self.reducer = reducer
 
     @property
     def state_count(self) -> int:
@@ -179,7 +174,6 @@ class TransitionSystem:
         "_daemon_class",
         "_max_states",
         "_max_selections",
-        "_reducer",
     )
 
     def __init__(
@@ -190,7 +184,6 @@ class TransitionSystem:
         space: Optional[StateSpace] = None,
         max_states: int = DEFAULT_MAX_STATES,
         max_selections: int = DEFAULT_MAX_SELECTIONS,
-        reducer=None,
     ) -> None:
         if daemon_class not in DAEMON_CLASSES:
             raise VerificationError(
@@ -202,11 +195,6 @@ class TransitionSystem:
         self._daemon_class = daemon_class
         self._max_states = max_states
         self._max_selections = max_selections
-        # Optional SymmetryReducer: every discovered key is canonicalized
-        # to its orbit representative before dedup, so the exploration
-        # builds the quotient system (soundness is the reducer's contract,
-        # see repro.verify.symmetry).
-        self._reducer = reducer
 
     @property
     def space(self) -> StateSpace:
@@ -249,8 +237,6 @@ class TransitionSystem:
         initial_keys = self._space.encode_many(list(initial))
         if not initial_keys:
             raise VerificationError("the initial region is empty")
-        if self._reducer is not None:
-            initial_keys = self._reducer.canonical_keys(initial_keys)
         return self._expand(
             dict.fromkeys(initial_keys), list(dict.fromkeys(initial_keys)), exhaustive=False
         )
@@ -263,8 +249,6 @@ class TransitionSystem:
                 f"the exploration cap of {self._max_states}"
             )
         keys = list(self._space.keys())
-        if self._reducer is not None:
-            keys = list(dict.fromkeys(self._reducer.canonical_keys(keys)))
         return self._expand(dict.fromkeys(keys), keys, exhaustive=True)
 
     def _expand(
@@ -293,15 +277,12 @@ class TransitionSystem:
                 continue
             # Deduplicate while preserving the deterministic selection order
             # (encode_many bulk-packs the batch through the array codec on
-            # wide expansions, per-vertex lookups otherwise).  Under a
-            # symmetry quotient, canonicalize before dedup so orbit-equal
-            # successors collapse to one representative edge.
-            raw_keys = space.encode_many(
-                [successor for _selection, successor in pairs]
+            # wide expansions, per-vertex lookups otherwise).
+            successor_keys = tuple(
+                dict.fromkeys(
+                    space.encode_many([successor for _selection, successor in pairs])
+                )
             )
-            if self._reducer is not None:
-                raw_keys = self._reducer.canonical_keys(raw_keys)
-            successor_keys = tuple(dict.fromkeys(raw_keys))
             successors[key] = successor_keys
             if len(successors) > self._max_states:
                 raise VerificationError(
@@ -320,5 +301,4 @@ class TransitionSystem:
             initial_keys=initial_keys,
             terminal_keys=frozenset(terminal),
             exhaustive=exhaustive,
-            reducer=self._reducer,
         )

@@ -40,7 +40,6 @@ from repro.verify import (
     verify_stabilization,
 )
 from repro.verify.batched import ArrayPacker, _ExpansionState, _NodeRegistry
-from repro.verify.symmetry import SymmetryReducer
 
 DAEMON_CLASSES = ("synchronous", "central", "distributed")
 
@@ -346,18 +345,15 @@ def _pinned_instance(name, daemon_class):
     protocol = AsynchronousUnison(
         ring_graph(4), alpha=1, K=3, validate_parameters=False
     )
-    specification = AsynchronousUnisonSpec(protocol)
-    reducer = SymmetryReducer.for_instance(
-        protocol, specification, StateSpace(protocol)
-    )
     return BatchedTransitionSystem(
-        protocol, specification, daemon_class, reducer=reducer
+        protocol, AsynchronousUnisonSpec(protocol), daemon_class
     ).explore_full()
 
 
 #: (states, transitions, SHA-256 prefix of the node keys in node order,
 #: ``indptr`` and ``succ``), recorded from the batched checker before its
-#: successor expansion was rewritten around key deltas.
+#: successor expansion was rewritten around key deltas; the unison rows
+#: were recorded from the key-delta expansion.
 PINNED_SYSTEMS = {
     ("ssme-ring5-region", "synchronous"): (45, 45, "1b4c2d7f3ae15b9f"),
     ("ssme-ring5-region", "central"): (2074, 5262, "c11fc92ec76bb3ad"),
@@ -365,9 +361,9 @@ PINNED_SYSTEMS = {
     ("dijkstra-ring4-k3-full", "synchronous"): (81, 81, "fe157fa276987150"),
     ("dijkstra-ring4-k3-full", "central"): (81, 189, "bf7657813973def9"),
     ("dijkstra-ring4-k3-full", "distributed"): (81, 417, "e8b95a40541ebb1a"),
-    ("unison-ring4-quotient-full", "synchronous"): (55, 55, "a06b0413856cefff"),
-    ("unison-ring4-quotient-full", "central"): (55, 80, "2b2c48358a39e0c7"),
-    ("unison-ring4-quotient-full", "distributed"): (55, 148, "af9e3d65fb38eb62"),
+    ("unison-ring4-full", "synchronous"): (256, 256, "85ab4f45d5b26896"),
+    ("unison-ring4-full", "central"): (256, 480, "f9e96d020815d284"),
+    ("unison-ring4-full", "distributed"): (256, 816, "d1c49baf851c19bb"),
 }
 
 
@@ -566,7 +562,7 @@ class TestNodeRegistry:
     @pytest.mark.parametrize("name, daemon_class", [
         ("ssme-ring5-region", "synchronous"),
         ("ssme-ring5-region", "central"),
-        ("unison-ring4-quotient-full", "distributed"),
+        ("ssme-ring5-region", "distributed"),
     ])
     def test_table_layout_leaves_discovery_order_pinned(
         self, monkeypatch, name, daemon_class
@@ -636,22 +632,6 @@ class TestNarrowIndexRows:
         assert packer.configurations_of(narrow) == packer.configurations_of(wide)
         assert packer.configurations_of(narrow) == configurations
         assert (packer.rows_of(narrow) == packer.rows_of(wide)).all()
-
-    def test_canonicalization_of_narrow_rows(self):
-        protocol = AsynchronousUnison(ring_graph(4), alpha=2, K=8)
-        specification = AsynchronousUnisonSpec(protocol)
-        space = StateSpace(protocol)
-        reducer = SymmetryReducer.for_instance(protocol, specification, space)
-        packer = ArrayPacker(space, protocol.array_codec())
-        rng = random.Random(2)
-        keys = [rng.randrange(space.size) for _ in range(60)]
-        narrow = packer.indices_of_keys(keys)
-        assert narrow.dtype == np.uint8
-        canonical = reducer.canonicalize_index_matrix(narrow, packer)
-        assert (
-            canonical == reducer.canonicalize_index_matrix(narrow.astype(np.int64), packer)
-        ).all()
-        assert packer.python_keys(canonical) == reducer.canonical_keys(keys)
 
     @pytest.mark.parametrize("daemon_class", DAEMON_CLASSES)
     def test_key_deltas_do_not_wrap(self, daemon_class):

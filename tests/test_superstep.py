@@ -721,6 +721,35 @@ def test_lazy_enabled_sets_prefix_suffix_and_rounds_match_eager(protocol_name, t
             assert view.count_rounds() == reference.count_rounds()
 
 
+def test_superstep_round_count_replays_no_kernel_step(monkeypatch):
+    """``count_rounds`` on a light superstep trace reads each step's
+    recorded selection (every enabled vertex fires under the synchronous
+    daemon): no kernel step is replayed once the run has returned."""
+    protocol = DijkstraTokenRing(ring_graph(64))
+    initial = protocol.random_configuration(random.Random(5))
+    reference = Simulator(
+        protocol, SynchronousDaemon(), rng=random.Random(0),
+        engine="reference", trace="light",
+    ).run(initial, max_steps=200)
+    kernel_class = type(protocol.array_kernel())
+    fire = kernel_class.fire
+    calls = []
+
+    def counting(self, *args):
+        calls.append(None)
+        return fire(self, *args)
+
+    monkeypatch.setattr(kernel_class, "fire", counting)
+    execution = VectorEngine(protocol).run_supersteps(
+        SynchronousDaemon(), random.Random(0), initial, max_steps=200,
+        trace="light", superstep=16,
+    )
+    fired_during_run = len(calls)
+    assert fired_during_run == execution.steps == reference.steps
+    assert execution.count_rounds() == reference.count_rounds()
+    assert len(calls) == fired_during_run
+
+
 class _CountingBuild:
     """Counts ``LazyEnabledSets`` frozenset builds across all instances."""
 
