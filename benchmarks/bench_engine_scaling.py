@@ -34,16 +34,18 @@ Headline numbers (acceptance criteria of the engine PRs):
   baseline for this one row is measured at n=3200 directly (a few seconds
   of full rescans).
 
-Under the synchronous daemon the ``vector`` engine runs in batched
-supersteps (``VectorEngine.run_supersteps``), so every sd ``vector`` row
-times the superstep loop.  The dense regime is also swept at
-``n ∈ {3200, 10000}`` (sd only; the reference engine appears only in the
-n=3200 baseline row) and the superstep regime at ``n ∈ {100000, 1000000}``
-(light traces only: per-step states dominate memory at 1e6).  Those
-rows start from the **legitimate** configuration — their step budget is
-far below the ~n synchronous steps a random initial needs to stabilize at
-these sizes, so a random start would measure the reset churn rather than
-the steady state; each row records which ``initial`` it timed.
+The ``vector`` engine runs only synchronous-daemon runs, in batched
+supersteps (``VectorEngine.run_supersteps``); under any other daemon it
+resolves to the incremental engine.  So ``vector`` rows are measured for
+``sd`` only, and every one of them times the superstep loop.  The dense
+regime is also swept at ``n ∈ {3200, 10000}`` (sd only; the reference
+engine appears only in the n=3200 baseline row) and the superstep regime
+at ``n ∈ {100000, 1000000}`` (light traces only: per-step states dominate
+memory at 1e6).  Those rows start from the **legitimate** configuration —
+their step budget is far below the ~n synchronous steps a random initial
+needs to stabilize at these sizes, so a random start would measure the
+reset churn rather than the steady state; each row records which
+``initial`` it timed.
 
 Every row records ``peak_rss_mb`` — the process-wide high-water RSS after
 the row's runs (``getrusage``, Linux/macOS only, ``null`` elsewhere).
@@ -98,6 +100,7 @@ DAEMON_FACTORIES = {
     "dd": lambda: DistributedDaemon(0.5),
 }
 
+#: Engine modes of the main sweep; the ``vector`` modes run for ``sd`` only.
 ENGINE_MODES = (
     ("reference", "full"),
     ("incremental", "full"),
@@ -223,6 +226,8 @@ def run_benchmark(
         protocol = AsynchronousUnison(ring_graph(n), validate_parameters=False)
         for daemon_name in daemons:
             for engine, trace in ENGINE_MODES:
+                if engine == "vector" and daemon_name != "sd":
+                    continue
                 measure_into_rows(protocol, daemon_name, engine, trace, _steps_for(n))
 
     # Dense-regime scaling rows: the reference engine is deliberately

@@ -3,7 +3,7 @@
 The paper's speculation trade-off (optimize for the synchronous schedule,
 stay correct under the adversarial one) is resolved *statically* everywhere
 else in the library: backend selection reads the declared
-:attr:`~repro.core.Daemon.dense` flag once, and the speculative-vs-
+:attr:`~repro.core.Daemon.synchronous` flag once, and the speculative-vs-
 conservative comparison runs offline.  :class:`RegimeDetector` is the
 online half — a streaming estimator that watches the selections a daemon
 actually makes and classifies the current *regime*:

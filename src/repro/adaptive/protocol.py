@@ -61,8 +61,8 @@ class _ProbeDaemon(Daemon):
 
     Forwards ``select`` to the wrapped daemon with the *run-global* step
     index (segments restart their local index at 0) and observes every
-    selection.  The advisory attributes mirror the inner daemon's so any
-    backend heuristic consulted downstream sees the real schedule.  The
+    selection.  The ``synchronous`` flag mirrors the inner daemon's so
+    backend selection downstream sees the real schedule.  The
     probe does **not** forward ``reset``: scheduling memory (round-robin
     cursors, starvation targets) must survive segment boundaries — the
     simulator already reset the inner daemon once, at run start.
@@ -75,9 +75,7 @@ class _ProbeDaemon(Daemon):
         self._inner = inner
         self._detector = detector
         self.offset = 0
-        self.dense = inner.dense
         self.synchronous = inner.synchronous
-        self.density = inner.density
 
     def bind(self, protocol) -> None:
         super().bind(protocol)

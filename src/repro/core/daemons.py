@@ -63,15 +63,6 @@ class Daemon(ABC):
     #: Short human-readable name ("sd", "cd", ...), set by subclasses.
     name: str = "daemon"
 
-    #: Backend-selection hint: True when the daemon's typical selection
-    #: activates a constant fraction of the enabled set (the synchronous
-    #: daemon, dense distributed daemons).  The engine's automatic backend
-    #: selection runs such daemons on the vectorized array-state kernel
-    #: when the protocol declares one and the graph has at least 32
-    #: vertices; sparse daemons keep the dirty-set paths.  Purely advisory
-    #: — every backend is correct for every daemon.
-    dense: bool = False
-
     #: True only for daemons whose selection is *always* the full enabled
     #: set (the synchronous daemon).  Such schedules are deterministic given
     #: the initial configuration, which is what licenses the batched
@@ -79,14 +70,9 @@ class Daemon(ABC):
     #: can be executed as pure array operations because no per-step daemon
     #: decision exists.  Never set this on a daemon that can activate a
     #: proper subset — the superstep path skips ``select`` entirely.
+    #: Backend selection reads this flag alone: synchronous runs may take
+    #: the array kernel, every other daemon runs on the dict engine.
     synchronous: bool = False
-
-    #: Advisory expected fraction of the enabled set activated per step
-    #: (``None`` when unknown).  Used by the automatic backend selection to
-    #: route mid-density daemons (``0.2 <= density < 0.5``) to the array
-    #: kernel on large graphs, where the vectorized sparse guard refresh
-    #: beats the dict-backed dirty-set paths.
-    density: Optional[float] = None
 
     def __init__(self) -> None:
         self._protocol: Optional[Protocol] = None
@@ -201,9 +187,7 @@ class SynchronousDaemon(Daemon):
     """The synchronous daemon ``sd``: every enabled vertex is activated."""
 
     name = "sd"
-    dense = True
     synchronous = True
-    density = 1.0
 
     def select(
         self,
@@ -319,10 +303,6 @@ class DistributedDaemon(Daemon):
                 f"activation probability must be in (0, 1], got {activation_probability}"
             )
         self._p = activation_probability
-        # Expected selections cover at least half the enabled set: the
-        # dense regime the vector backend is built for.
-        self.dense = activation_probability >= 0.5
-        self.density = activation_probability
 
     def select(
         self,
@@ -464,7 +444,6 @@ class StarvationDaemon(Daemon):
     """
 
     name = "ud-starve"
-    dense = True  # every enabled vertex but the target fires each step
 
     def __init__(self, target: Optional[VertexId] = None) -> None:
         super().__init__()
@@ -504,11 +483,10 @@ class RegimeSwitchingDaemon(Daemon):
     This is the canonical *regime-switch workload* for
     :class:`~repro.adaptive.AdaptiveProtocol` (:mod:`repro.adaptive`, E10's
     switching rows): neither phase dominates the run, so any fixed rule-set
-    choice is wrong half the time.  The advisory flags deliberately stay at
-    their sparse defaults (``dense=False``, ``synchronous=False``): a mixed
-    schedule declares no single density, so ``engine="auto"`` keeps the
-    incremental engine for this daemon — reading the phases online is the
-    :class:`~repro.adaptive.RegimeDetector`'s job, not static backend
+    choice is wrong half the time.  ``synchronous`` stays False — the
+    sparse phases activate proper subsets — so every engine choice runs
+    this daemon on the incremental engine; reading the phases online is
+    the :class:`~repro.adaptive.RegimeDetector`'s job, not static backend
     selection's.
     """
 

@@ -63,33 +63,18 @@ __all__ = [
 ]
 
 
-#: Automatic-backend policy for mid-density daemons: a daemon that is not
-#: ``dense`` but advertises an expected activation fraction of at least
-#: ``_MID_DENSITY`` is routed to the array kernel on graphs of at least
-#: ``_MID_DENSITY_MIN_N`` vertices, where the vectorized sparse guard
-#: refresh beats the dict-backed dirty-set paths.  Purely advisory — every
-#: backend is correct for every daemon.
-_MID_DENSITY = 0.2
-_MID_DENSITY_MIN_N = 512
-
-#: Automatic-backend size floor for dense daemons: below ``_DENSE_MIN_N``
-#: vertices the fixed per-step cost of the array operations exceeds the
-#: dict engine's whole-graph rescan, so dense daemons keep the dict paths.
+#: Automatic-backend size floor for the synchronous daemon: below
+#: ``_DENSE_MIN_N`` vertices the fixed per-step cost of the array operations
+#: exceeds the dict engine's whole-graph rescan, so small graphs keep the
+#: dict paths.
 _DENSE_MIN_N = 32
 
 
 def prefers_array_backend(daemon: Daemon, n: int) -> bool:
     """Whether automatic backend selection should try the array kernel for
-    ``daemon`` on a graph of ``n`` vertices (dense daemons once
-    ``n >= _DENSE_MIN_N``; known mid-density daemons once
-    ``n >= _MID_DENSITY_MIN_N``)."""
-    if daemon.dense:
-        return n >= _DENSE_MIN_N
-    return (
-        daemon.density is not None
-        and daemon.density >= _MID_DENSITY
-        and n >= _MID_DENSITY_MIN_N
-    )
+    ``daemon`` on a graph of ``n`` vertices: synchronous daemons once
+    ``n >= _DENSE_MIN_N``.  Every other daemon runs on the dict paths."""
+    return daemon.synchronous and n >= _DENSE_MIN_N
 
 
 def protocol_supports_incremental(protocol: Protocol) -> bool:
@@ -112,14 +97,14 @@ class IncrementalEngine:
     Backend selection: the dict-based sparse/batch paths below are always
     available; protocols that declare an array codec/kernel (see
     :mod:`repro.core.vector`) additionally unlock a NumPy-vectorized
-    **array-state backend** that replaces the whole per-step scan of the
-    dense (batch) regime with a handful of array operations.  ``run``'s
-    ``backend`` parameter picks between them — ``"auto"`` (default) uses
-    the vector backend exactly when the protocol declares one and
-    :func:`prefers_array_backend` approves the daemon on the graph's size
-    (dense daemons from 32 vertices, known mid-density daemons from 512);
-    ``"vector"`` requests it for any daemon and any size; both degrade
-    gracefully to the dict paths when the capability is missing.
+    **array-state backend** that runs synchronous-daemon runs in batched
+    supersteps.  ``run``'s ``backend`` parameter picks between them —
+    ``"auto"`` (default) uses the vector backend exactly when the protocol
+    declares one and :func:`prefers_array_backend` approves the daemon on
+    the graph's size (the synchronous daemon from 32 vertices);
+    ``"vector"`` requests it under the synchronous daemon at any size.
+    Every other daemon, and every protocol without the capability, runs on
+    the dict paths.
     """
 
     __slots__ = (
@@ -127,7 +112,6 @@ class IncrementalEngine:
         "_graph",
         "_vertices",
         "_neighbors",
-        "_vector",
         "last_run_backend",
     )
 
@@ -146,30 +130,32 @@ class IncrementalEngine:
         self._neighbors: Dict[VertexId, Tuple[VertexId, ...]] = {
             v: tuple(self._graph.neighbors(v)) for v in self._vertices
         }
-        self._vector = None
         #: Which backend the most recent ``run`` used ("vector" or "dict");
         #: None before the first run.  Diagnostic only.
         self.last_run_backend: Optional[str] = None
 
     def _vector_engine(self):
-        """The cached array-state backend, or None when unavailable.
+        """The protocol's array-state backend, or None when unavailable.
 
         Probed lazily on first use, so building an engine never imports
         NumPy; a declining protocol is re-probed on the next call.  The
         probed codec/kernel objects are handed straight to the engine, so
-        the capability is instantiated exactly once.
+        the capability is instantiated exactly once, and the engine is kept
+        on the protocol instance: every simulator over one protocol shares
+        one :class:`~repro.core.vector.GraphIndex` and one prepared kernel.
         """
-        if self._vector is None:
+        protocol = self._protocol
+        vector = getattr(protocol, "_array_engine", None)
+        if vector is None:
             from .vector import VectorEngine, vector_eligible
 
-            if vector_eligible(self._protocol):
-                codec = self._protocol.array_codec()
-                kernel = self._protocol.array_kernel()
+            if vector_eligible(protocol):
+                codec = protocol.array_codec()
+                kernel = protocol.array_kernel()
                 if codec is not None and kernel is not None:
-                    self._vector = VectorEngine(
-                        self._protocol, codec=codec, kernel=kernel
-                    )
-        return self._vector
+                    vector = VectorEngine(protocol, codec=codec, kernel=kernel)
+                    protocol._array_engine = vector
+        return vector
 
     def run(
         self,
@@ -198,21 +184,20 @@ class IncrementalEngine:
 
         ``backend`` selects between the dict-based sparse/batch paths
         (``"dict"``) and the NumPy array-state kernel (``"vector"``), which
-        runs in batched supersteps (:meth:`VectorEngine.run_supersteps`)
-        whenever the daemon is synchronous — a deterministic schedule with
-        no per-step decision — and step by step (:meth:`VectorEngine.run`)
-        otherwise; ``"auto"`` (default) picks the array backend when the
-        protocol declares one and :func:`prefers_array_backend` approves
-        the daemon on this graph's size, so small graphs keep the dict
-        paths even under dense daemons.  Requests the capability cannot
-        honour (no kernel, states outside the codec's layout) fall back to
-        the dict paths — never an error.
+        runs synchronous-daemon runs — a deterministic schedule with no
+        per-step decision — in batched supersteps
+        (:meth:`VectorEngine.run_supersteps`); ``"auto"`` (default) picks
+        the array backend when the protocol declares one and
+        :func:`prefers_array_backend` approves the daemon on this graph's
+        size, so small graphs keep the dict paths.  Every other daemon runs
+        on the dict paths, as do requests the capability cannot honour (no
+        kernel, states outside the codec's layout) — never an error.
         """
         if trace not in {"full", "light"}:
             raise SimulationError(f"unknown trace mode {trace!r}")
         if backend not in {"auto", "dict", "vector"}:
             raise SimulationError(f"unknown engine backend {backend!r}")
-        if backend != "dict":
+        if backend != "dict" and daemon.synchronous:
             vector = self._vector_engine()
             if vector is not None and (
                 backend == "vector" or prefers_array_backend(daemon, self._graph.n)
@@ -220,8 +205,7 @@ class IncrementalEngine:
                 encoded = vector.encode_initial(initial)
                 if encoded is not None:
                     self.last_run_backend = "vector"
-                    loop = vector.run_supersteps if daemon.synchronous else vector.run
-                    return loop(
+                    return vector.run_supersteps(
                         daemon=daemon,
                         rng=rng,
                         initial=initial,

@@ -194,8 +194,8 @@ class Protocol(ABC):
         Protocols whose per-vertex state is a fixed small tuple of machine
         integers may return a codec here (together with
         :meth:`array_kernel`) to unlock the NumPy-vectorized engine backend
-        for the dense-daemon regime.  The default — no capability — keeps
-        the protocol on the dict-based engines.
+        for the synchronous-daemon regime.  The default — no capability —
+        keeps the protocol on the dict-based engines.
         """
         return None
 

@@ -76,21 +76,21 @@ class Simulator:
         ``"auto"`` (default) picks a sound backend by a size-aware policy
         (:func:`~repro.core.engine.prefers_array_backend`): the
         NumPy-vectorized array-state kernel (:mod:`repro.core.vector`) when
-        the protocol declares one and the daemon makes dense selections on
-        a graph of at least 32 vertices (or known mid-density selections on
-        one of at least 512); the dirty-set incremental engine otherwise.
+        the protocol declares one and the daemon is synchronous
+        (:attr:`Daemon.synchronous`) on a graph of at least 32 vertices;
+        the dirty-set incremental engine otherwise.
         ``"incremental"`` forces the dict-based dirty-set engine of
         :mod:`repro.core.engine`;
-        ``"vector"`` requests the array-state kernel for any daemon,
-        falling back to ``"incremental"`` when the capability is
-        unavailable.  The kernel runs in batched supersteps
-        (:meth:`~repro.core.vector.VectorEngine.run_supersteps`) whenever
-        the daemon is synchronous (:attr:`Daemon.synchronous`) and step by
-        step otherwise.  ``"reference"`` runs the naive full-rescan
-        semantics and serves as the correctness oracle.  Protocols that
-        override the base-class transition methods automatically fall back
-        to the reference engine.  The resolved choice is reported by
-        :attr:`engine`; any other name raises :class:`SimulationError`.
+        ``"vector"`` requests the array-state kernel, which runs
+        synchronous-daemon runs in batched supersteps
+        (:meth:`~repro.core.vector.VectorEngine.run_supersteps`); it
+        resolves to ``"incremental"`` under any other daemon and when the
+        capability is unavailable.  ``"reference"`` runs the naive
+        full-rescan semantics and serves as the correctness oracle.
+        Protocols that override the base-class transition methods
+        automatically fall back to the reference engine.  The resolved
+        choice is reported by :attr:`engine`; any other name raises
+        :class:`SimulationError`.
     trace:
         ``"full"`` (default) records every configuration in the returned
         :class:`Execution`.  ``"light"`` records activations only and
@@ -139,14 +139,16 @@ class Simulator:
         # keyword and their enabledness chain must be honoured).
         self._prepared_ok = protocol_supports_incremental(protocol)
         # Backend resolution (graceful, never an error): the array-state
-        # kernel needs the protocol capability; "auto" additionally requires
-        # the daemon to make dense selections on a large enough graph — the
-        # regime where whole-array steps beat the dirty-set paths.  The
-        # probe constructs the incremental engine (which runs would build
-        # anyway) so the kernel it instantiates is the one that runs.
+        # kernel needs the protocol capability and the synchronous daemon;
+        # "auto" additionally requires a large enough graph — the regime
+        # where whole-array steps beat the dirty-set paths.  The probe
+        # constructs the incremental engine (which runs would build anyway)
+        # so the kernel it instantiates is the one that runs.
         self._incremental: Optional[IncrementalEngine] = None
         if engine in ("auto", "vector"):
-            if engine == "auto" and not prefers_array_backend(daemon, protocol.graph.n):
+            if not daemon.synchronous or (
+                engine == "auto" and not prefers_array_backend(daemon, protocol.graph.n)
+            ):
                 engine = "incremental"
             elif not self._prepared_ok:
                 engine = "reference"

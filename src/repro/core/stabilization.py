@@ -365,11 +365,13 @@ def measure_stabilization(
         the suffix starting at the observed stabilization point.
     engine:
         Simulation engine ("auto" by default — the vectorized array-state
-        backend when the protocol declares one and
-        :func:`~repro.core.engine.prefers_array_backend` approves the
-        daemon on the graph's size, the incremental dirty-set engine
-        otherwise; "reference" replays the naive semantics, useful to
-        cross-check a measurement).
+        backend in supersteps when the protocol declares one, the daemon is
+        synchronous and the graph has at least 32 vertices
+        (:func:`~repro.core.engine.prefers_array_backend`), the incremental
+        dirty-set engine otherwise; "reference" replays the naive
+        semantics, useful to cross-check a measurement).  Runs over one
+        protocol instance share its array-state engine, so a sweep builds
+        the graph index and prepares the kernel once.
     trace:
         Trace mode of the underlying run.  With ``"light"`` the safety
         monitor reads live views and no configuration is materialized by

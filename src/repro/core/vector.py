@@ -1,16 +1,16 @@
 """The NumPy-vectorized array-state engine backend (the "vector kernel").
 
 The incremental engine of :mod:`repro.core.engine` wins big in the sparse
-regime (central-style daemons: O(Δ) per action), but in the *dense* regime —
-the synchronous daemon, dense distributed daemons — every action dirties
-essentially every vertex, so each step still pays n Python guard calls plus
-n Python firing calls.  That per-step cost is exactly what the paper's
-headline experiments (Theorem 2 synchronous sweeps, Theorem 3 adversarial
-sweeps) are bound by at scale.
+regime (central-style daemons: O(Δ) per action), but under the synchronous
+daemon every action dirties essentially every vertex, so each step still
+pays n Python guard calls plus n Python firing calls.  That per-step cost
+is exactly what the paper's headline synchronous experiments (Theorem 2
+sweeps, E3/E6 at large n) are bound by at scale.
 
 This module replaces the whole per-step scan by a handful of array
 operations for protocols whose per-vertex state is a fixed small tuple of
-machine integers (unison clocks, Dijkstra/SSME token counters):
+machine integers (unison clocks, Dijkstra/SSME token counters), and runs
+synchronous-daemon runs in batched supersteps:
 
 * :class:`GraphIndex` — the communication graph flattened once into
   integer index arrays: a self-padded neighbour-slot table with an
@@ -25,18 +25,20 @@ machine integers (unison clocks, Dijkstra/SSME token counters):
   position of its *first* enabled rule (or -1), and
   ``fire(states, selected, rule_ids, index)`` returns the new state rows of
   the selected vertices — both as whole-array computations;
-* :class:`VectorEngine` — a drop-in runner with the exact
-  ``IncrementalEngine.run`` contract built on the above.
+* :class:`VectorEngine` — a drop-in runner for synchronous-daemon runs
+  with the exact ``IncrementalEngine.run`` contract, built on the above
+  (:meth:`VectorEngine.run_supersteps`).
 
 Protocols opt in through the capability API
 :meth:`repro.core.Protocol.array_codec` / :meth:`~repro.core.Protocol.array_kernel`
 (both return None by default).  Backend selection is automatic and degrades
-gracefully: the vector backend is used only when the protocol declares a
-kernel and the engine semantics the kernel encodes (stock transition chain,
-stock ``choose_rule``, actions that preserve state validity) actually hold;
-otherwise the existing sparse/batch dict paths run unchanged.  NumPy is a
-required dependency, imported lazily: nothing in this module imports it at
-module load, so ``import repro`` stays cheap.
+gracefully: the vector backend is used only under the synchronous daemon,
+when the protocol declares a kernel and the engine semantics the kernel
+encodes (stock transition chain, stock ``choose_rule``, actions that
+preserve state validity) actually hold; every other daemon and protocol
+runs on the sparse/batch dict paths.  NumPy is a required dependency,
+imported lazily: nothing in this module imports it at module load, so
+``import repro`` stays cheap.
 
 Equivalence with the reference engine (same configurations, selections,
 enabled sets, activation records, truncation) is pinned by
@@ -49,7 +51,6 @@ from abc import ABC, abstractmethod
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -64,8 +65,7 @@ from ..graphs import Graph
 from ..types import VertexId, VertexStateLike
 from .daemons import Daemon
 from .execution import DeltaLog, Execution, LazyActivations, LazyEnabledSets
-from .protocol import ActivationRecord, Protocol
-from .rules import Rule
+from .protocol import Protocol
 from .state import Configuration
 
 __all__ = [
@@ -219,19 +219,13 @@ class GraphIndex:
 
     # Per-vertex reductions over the CSR entries.  ``edge_flags`` is a
     # boolean array aligned with ``indices``/``edge_src``; vertices without
-    # neighbours reduce over the empty set (any -> False, all -> True),
-    # matching Python's any()/all().
+    # neighbours reduce over the empty set (any -> False), matching
+    # Python's any().
     def any_over_edges(self, edge_flags) -> "object":
         """Per-vertex ``any`` of a per-adjacency-entry boolean array."""
         import numpy as np
 
         return np.bincount(self.edge_src[edge_flags], minlength=self.n) > 0
-
-    def all_over_edges(self, edge_flags) -> "object":
-        """Per-vertex ``all`` of a per-adjacency-entry boolean array."""
-        import numpy as np
-
-        return np.bincount(self.edge_src[~edge_flags], minlength=self.n) == 0
 
     def overflow_of(self, rows):
         """Overflow entries of ``rows`` as ``(ranks, neighbor_rows)``, or
@@ -621,7 +615,7 @@ class _VectorAction(Sequence):
 
     Behaves as the sequence of raw ``(vertex, rule_name, old, new)`` tuples
     :class:`~repro.core.LazyActivations` consumes, but stores only the four
-    compact arrays the engine already produced.  ``len`` never decodes, so
+    compact arrays the replay already produced.  ``len`` never decodes, so
     aggregate walks (``moves()``) stay array-cheap; iterating decodes the
     whole action in bulk (four ``tolist`` calls), which only happens when a
     caller actually inspects that action's records.
@@ -754,8 +748,8 @@ class _SuperstepActionLog(Sequence):
 
     The raw log handed to :class:`~repro.core.LazyActivations` by the
     superstep path: ``log[i]`` replays action ``i`` through the shared
-    :class:`_SuperstepReplayer` and wraps its step data in the same
-    :class:`_VectorAction` the single-step path records eagerly.
+    :class:`_SuperstepReplayer` and wraps its step data in a
+    :class:`_VectorAction`.
     """
 
     __slots__ = ("_replayer", "_counts", "_vertices", "_names", "_codec")
@@ -838,8 +832,8 @@ class _SuperstepDeltaLog(DeltaLog):
 
 def _delta(selected, new_rows, changed_rows, vertices, codec) -> Dict[VertexId, VertexStateLike]:
     """``{vertex: new state}`` of the rows one firing of ``selected`` changed
-    (``changed_rows`` as :meth:`_RunState.fire` returns it: the per-row
-    change mask, or None when nothing changed)."""
+    (``changed_rows`` as :meth:`_SuperstepReplayer.step_data` returns it:
+    the per-row change mask, or None when nothing changed)."""
     if changed_rows is None:
         return {}
     if bool(changed_rows.all()):
@@ -883,11 +877,11 @@ class _RunState:
     rescan that changes the mask builds a new one.  Only masks built since
     the last dense step reach a sparse patch.
 
-    :meth:`fire` fires selected row positions (any daemon); :meth:`step`
-    fires every enabled row (the synchronous daemon), by mask when the
-    step is dense.  After a firing that changed some row, :attr:`dirty`
-    holds the rows whose guards the refresh re-evaluated — the changed
-    rows and their neighbours — or None after a full rescan.
+    :meth:`step` fires every enabled row (one synchronous step): by mask
+    when the step is dense, by row positions otherwise.  After a firing
+    that changed some row, :attr:`dirty` holds the rows whose guards the
+    refresh re-evaluated — the changed rows and their neighbours — or None
+    after a full rescan.
     """
 
     __slots__ = (
@@ -929,46 +923,37 @@ class _RunState:
             return self.mask
         return self.positions()
 
-    def fire(self, selected):
-        """Fire the cached first-enabled rules of the ``selected`` row
-        positions and refresh the guards.
-
-        Atomic-snapshot semantics: every action reads ``states`` as it was
-        before the firing, and the new rows are written back afterwards.
-        Returns ``(rids, old_rows, new_rows, changed_rows)``: the fired rule
-        ids and the old/new rows of ``selected`` (fresh arrays, safe to
-        retain), and the per-row change mask — None when the firing changed
-        no row, in which case nothing is refreshed.
-        """
-        states = self.states
-        rids = self.rule_ids[selected]
-        old_rows = states[selected]  # fancy indexing copies: the atomic snapshot
-        new_rows = self._kernel.fire(states, selected, rids, self._index)
-        changed_rows = _changed_rows(new_rows, old_rows)
-        if not changed_rows.any():
-            return rids, old_rows, new_rows, None
-        states[selected] = new_rows
-        if self._subset_refresh and not _dense(int(selected.size), self._index.n):
-            changed = selected if changed_rows.all() else selected[changed_rows]
-            self._refresh(changed)
-        else:
-            self._rescan()
-        return rids, old_rows, new_rows, changed_rows
-
     def step(self) -> bool:
         """Fire every enabled row (one synchronous step); True when some
         row changed.
 
+        Atomic-snapshot semantics: every action reads ``states`` as it was
+        before the firing, and the new rows are written back afterwards.
         A dense step fires all rows in one ``kernel.fire(states,
         slice(None), rule_ids, index)`` call and writes back the enabled
         ones by mask, then rescans the guards in full; a sparse step fires
-        the enabled positions through :meth:`fire`.
+        the enabled positions only and, when the kernel declares
+        ``enabled_rules_for``, refreshes the guards of the changed rows and
+        their neighbours only (:meth:`_refresh`).  A step that changes no
+        row refreshes nothing.
         """
         import numpy as np
 
-        if not _dense(self.count, self._index.n):
-            return self.fire(self.positions())[3] is not None
         states = self.states
+        if not _dense(self.count, self._index.n):
+            selected = self.positions()
+            rids = self.rule_ids[selected]
+            old_rows = states[selected]  # fancy indexing copies: the atomic snapshot
+            new_rows = self._kernel.fire(states, selected, rids, self._index)
+            changed_rows = _changed_rows(new_rows, old_rows)
+            if not changed_rows.any():
+                return False
+            states[selected] = new_rows
+            if self._subset_refresh:
+                self._refresh(selected if changed_rows.all() else selected[changed_rows])
+            else:
+                self._rescan()
+            return True
         mask = self.mask
         fired = self._kernel.fire(states, slice(None), self.rule_ids, self._index)
         changed = _changed_rows(fired, states)
@@ -1069,22 +1054,21 @@ def _row_checks(monitor, states, order):
 
 
 class VectorEngine:
-    """Array-state runner with the :class:`IncrementalEngine` run contract.
+    """Array-state runner with the :class:`IncrementalEngine` run contract
+    for synchronous-daemon runs.
 
-    One instance per protocol; stateless between runs.  Two loops share
-    one run state (:class:`_RunState`, which fires and refreshes the
-    guards): :meth:`run` steps under any daemon, and
+    One instance per protocol (kept on the protocol instance by
+    :class:`IncrementalEngine`); stateless between runs.
     :meth:`run_supersteps` executes synchronous-daemon runs in kernel
-    blocks — :class:`IncrementalEngine` routes every synchronous run there.
-    Each step is a constant number of whole-array operations: guard
-    evaluation through the protocol's :class:`ArrayKernel`, firing through
-    vectorized actions, and O(Δ)-in-C bookkeeping for the trace.  The
-    enabled mask is tracked across firings and the enabled row positions
-    are recomputed only when it changed.  :meth:`run` hands the daemon a
-    ``frozenset`` rebuilt at those changes; :meth:`run_supersteps`, which
-    consults no daemon, records the masks and position arrays themselves
-    in a :class:`~repro.core.LazyEnabledSets` and builds a set only when
-    the execution is asked for it.
+    blocks over one run state (:class:`_RunState`, which fires and
+    refreshes the guards).  Each step is a constant number of whole-array
+    operations: guard evaluation through the protocol's
+    :class:`ArrayKernel`, firing through vectorized actions, and
+    O(Δ)-in-C bookkeeping for the trace.  The enabled mask is tracked
+    across firings and the enabled row positions are recomputed only when
+    it changed; the loop consults no daemon, records the masks and
+    position arrays themselves in a :class:`~repro.core.LazyEnabledSets`
+    and builds a set only when the execution is asked for it.
     """
 
     __slots__ = (
@@ -1162,115 +1146,6 @@ class VectorEngine:
             )
         return states
 
-    def run(
-        self,
-        daemon: Daemon,
-        rng,
-        initial: Configuration,
-        max_steps: int,
-        stop_when: Optional[Callable[[Configuration, int], bool]] = None,
-        trace: str = "full",
-        initial_array=None,
-    ) -> Execution:
-        """Run up to ``max_steps`` actions from ``initial``.
-
-        Same contract (and same observable executions) as
-        ``IncrementalEngine.run``; ``initial_array`` lets the caller pass a
-        pre-encoded state array so backend selection can probe the codec
-        without encoding twice.
-        """
-        import numpy as np
-
-        states = self._initial_states(initial, trace, initial_array)
-        index = self._index
-        codec = self._codec
-        kernel = self._kernel
-        vertices = index.vertices
-        rule_name_list = kernel.rule_names
-
-        light = trace == "light"
-        live_view = ArrayStateView(index, states, codec) if light else None
-        configurations: List[Configuration] = [initial]
-        selections: List[FrozenSet[VertexId]] = []
-        actions: List[_VectorAction] = []
-        enabled_sets: List[FrozenSet[VertexId]] = []
-        deltas: List[Dict[VertexId, VertexStateLike]] = []
-        truncated = True
-
-        current = initial
-        run_state = _RunState(self, states)
-        enabled_pos = None
-        enabled_fs: FrozenSet[VertexId] = frozenset()
-        for step_index in range(max_steps + 1):
-            positions = run_state.positions()
-            if positions is not enabled_pos:
-                enabled_pos = positions
-                if enabled_pos.size == index.n:
-                    enabled_fs = frozenset(vertices)
-                else:
-                    enabled_fs = frozenset(
-                        map(vertices.__getitem__, enabled_pos.tolist())
-                    )
-            enabled_sets.append(enabled_fs)
-            observed = live_view if light else current
-            if stop_when is not None and stop_when(observed, step_index):
-                truncated = True
-                break
-            if not enabled_fs:
-                truncated = False
-                break
-            if step_index == max_steps:
-                truncated = True
-                break
-            selection = daemon.checked_select(enabled_fs, observed, step_index, rng)
-
-            # A selection the size of the enabled set *is* the enabled set
-            # (checked_select guarantees selection ⊆ enabled), so the dense
-            # fast path reuses the cached position array.
-            if len(selection) == len(enabled_fs):
-                selected = enabled_pos
-            else:
-                position = index.position
-                selected = np.fromiter(
-                    (position[v] for v in selection),
-                    dtype=np.int64,
-                    count=len(selection),
-                )
-            rids, old_rows, new_rows, changed_rows = run_state.fire(selected)
-
-            selections.append(selection)
-            actions.append(
-                _VectorAction(
-                    selected, rids, old_rows, new_rows, vertices, rule_name_list, codec
-                )
-            )
-            if light:
-                deltas.append(_delta(selected, new_rows, changed_rows, vertices, codec))
-            else:
-                if changed_rows is not None:
-                    current = Configuration._from_trusted_dict(
-                        dict(zip(vertices, codec.decode(states)))
-                    )
-                configurations.append(current)
-
-        activations = LazyActivations(actions)
-        if light:
-            return Execution.from_activations(
-                initial=initial,
-                selections=selections,
-                activations=activations,
-                enabled_sets=enabled_sets,
-                truncated=truncated,
-                deltas=deltas,
-            )
-        return Execution(
-            configurations=configurations,
-            selections=selections,
-            activations=activations,
-            enabled_sets=enabled_sets,
-            truncated=truncated,
-        )
-
     def run_supersteps(
         self,
         daemon: Daemon,
@@ -1284,11 +1159,11 @@ class VectorEngine:
     ) -> Execution:
         """Run up to ``max_steps`` *synchronous* actions in kernel blocks.
 
-        Same contract — and bit-identical observable executions — as
-        :meth:`run` under a synchronous daemon, but executes ``superstep``
-        (default :attr:`DEFAULT_SUPERSTEP`) steps per block as pure array
-        operations: no daemon call, no per-step trace recording, no per-step
-        ``stop_when``.  What makes that sound is ``daemon.synchronous``: the
+        Same contract — and bit-identical observable executions — as the
+        reference engine under a synchronous daemon, but executes
+        ``superstep`` (default :attr:`DEFAULT_SUPERSTEP`) steps per block as
+        pure array operations: no daemon call, no per-step trace recording,
+        no per-step ``stop_when``.  What makes that sound is ``daemon.synchronous``: the
         selection of every step is the full enabled set, so the schedule is
         deterministic and there is no per-step decision to consult.
 
@@ -1321,8 +1196,8 @@ class VectorEngine:
           a second cursor replays the block's configurations strictly in
           order, handing each to the predicate with its exact step index —
           so stateful in-order observers work unchanged — and a trigger at
-          step ``t`` rolls the recorded run back to exactly the prefix the
-          single-step engine would have kept.
+          step ``t`` rolls the recorded run back to exactly the prefix a
+          step-by-step engine would have kept.
         * **Terminal detection** stays in-kernel: an empty enabled mask ends
           the block early (``truncated=False``), and a fixed point (enabled
           vertices whose firing changes nothing) fast-forwards the remaining
@@ -1437,7 +1312,7 @@ class VectorEngine:
             # Scan the tail block (terminal, budget-exhausted, or partial).
             stop_at = scan_until(steps)
         if stop_at is not None:
-            # Roll back to exactly the prefix the single-step engine keeps
+            # Roll back to exactly the prefix a step-by-step engine keeps
             # when stop_when fires at stop_at: stop_at completed steps, the
             # enabled set of stop_at recorded, truncated.
             steps = stop_at

@@ -64,9 +64,9 @@ _RUNNER = "repro.experiments.theorem3_async_upper:run_job"
 
 #: Default (topology, size) sweep — smaller than E3 because the
 #: adversarial schedulers are sequential (one vertex per action), so each
-#: execution takes Θ(n·(alpha+diam)) Python-side steps regardless of the
-#: array backends.  Raised to n=12 now that the mid-density distributed
-#: daemon rides the vectorized sparse refresh.
+#: execution takes Θ(n·(alpha+diam)) Python-side steps.  None of these
+#: daemons is synchronous, so every run takes the incremental dict engine,
+#: never the array kernel.
 DEFAULT_SWEEP: Tuple[Tuple[str, int], ...] = (
     ("ring", 5),
     ("ring", 7),

@@ -146,10 +146,9 @@ def test_regime_switching_daemon_phases_and_selections():
     sparse = daemon.select(enabled, configuration, 4, rng)
     assert len(sparse) == 1 and sparse <= enabled
 
-    # Advisory flags stay at the sparse defaults: static selection must
-    # not route this daemon to the array backends (reading its phases is
-    # the regime detector's job).
-    assert not daemon.dense and not daemon.synchronous
+    # Not synchronous: static selection must not route this daemon to the
+    # array backend (reading its phases is the regime detector's job).
+    assert not daemon.synchronous
 
 
 def test_regime_switching_daemon_registry_and_validation():
@@ -171,9 +170,7 @@ class _RecordingDaemon(Daemon):
     """Inner daemon recording what the probe forwards to it."""
 
     name = "recording"
-    dense = True
     synchronous = True
-    density = 0.75
 
     def __init__(self) -> None:
         super().__init__()
@@ -206,7 +203,7 @@ def test_probe_daemon_forwards_global_indices_and_feeds_the_detector():
     inner = _RecordingDaemon()
     detector = _RecordingDetector()
     probe = _ProbeDaemon(inner, detector)
-    assert (probe.dense, probe.synchronous, probe.density) == (True, True, 0.75)
+    assert probe.synchronous
 
     probe.bind(protocol)
     assert inner.bound is protocol
@@ -235,11 +232,7 @@ def test_probe_daemon_is_transparent_for_every_registered_daemon(name):
     detector = RegimeDetector(protocol.graph.n)
     probe = _ProbeDaemon(inner, detector)
     probe.bind(protocol)
-    assert (probe.dense, probe.synchronous, probe.density) == (
-        direct.dense,
-        direct.synchronous,
-        direct.density,
-    )
+    assert probe.synchronous == direct.synchronous
 
     configurations = [
         protocol.random_configuration(random.Random(seed)) for seed in range(12)

@@ -323,21 +323,21 @@ VECTOR_PROTOCOL_FACTORIES = {
     steps=st.integers(1, 12),
 )
 def test_vector_kernel_agrees_in_dense_regime(protocol_name, daemon_name, n, seed, steps):
-    """Vector ≡ incremental ≡ reference where the array kernel actually runs.
+    """Vector ≡ incremental ≡ reference under dense selections.
 
     Rings large enough that dense selections exercise the whole-array step
-    (and, with the alternating daemon, the per-run cached enabled set under
-    membership churn), for every protocol that declares a kernel.  The runs
-    are asserted to really use the vector backend.
+    (and, with the alternating daemon, the dict engine's per-run cached
+    enabled set under membership churn), for every protocol that declares a
+    kernel.  Synchronous runs are asserted to really use the vector
+    backend; every other daemon resolves ``"vector"`` to the incremental
+    engine.
     """
     protocol = VECTOR_PROTOCOL_FACTORIES[protocol_name](ring_graph(n))
+    daemon = DENSE_DAEMON_FACTORIES[daemon_name]()
     simulator = Simulator(
-        protocol,
-        DENSE_DAEMON_FACTORIES[daemon_name](),
-        rng=random.Random(seed + 1),
-        engine="vector",
+        protocol, daemon, rng=random.Random(seed + 1), engine="vector"
     )
-    assert simulator.engine == "vector"
+    assert simulator.engine == ("vector" if daemon.synchronous else "incremental")
     assert_equivalent_runs_dense(protocol, daemon_name, seed, steps)
 
 
@@ -387,13 +387,13 @@ class TestVectorBackendSelection:
         assert simulator.engine == "vector"
         simulator.run(initial, max_steps=10)
         assert simulator.last_run_backend == "vector"
-        # auto + dense-but-random daemon → the vector backend too.
+        # auto + dense-but-random daemon → the dirty-set paths.
         dense = Simulator(
             protocol, DistributedDaemon(0.9), rng=random.Random(4)
         )
-        assert dense.engine == "vector"
+        assert dense.engine == "incremental"
         dense.run(initial, max_steps=10)
-        assert dense.last_run_backend == "vector"
+        assert dense.last_run_backend == "dict"
         # Sparse daemons keep the dirty-set paths under auto selection.
         sparse = Simulator(protocol, CentralDaemon(), rng=random.Random(4))
         assert sparse.engine == "incremental"
@@ -419,15 +419,14 @@ class TestVectorBackendSelection:
     ):
         """An explicit ``engine="vector"`` under the synchronous daemon is
         the batched superstep loop, and stays equal to the oracle."""
-        calls = {"run_supersteps": 0, "run": 0}
-        for name in calls:
-            original = getattr(VectorEngine, name)
+        calls = {"run_supersteps": 0}
+        original = VectorEngine.run_supersteps
 
-            def counted(self, *args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(self, *args, **kwargs)
+        def counted(self, *args, **kwargs):
+            calls["run_supersteps"] += 1
+            return original(self, *args, **kwargs)
 
-            monkeypatch.setattr(VectorEngine, name, counted)
+        monkeypatch.setattr(VectorEngine, "run_supersteps", counted)
         protocol = self._protocol()
         initial = protocol.random_configuration(random.Random(3))
         reference = Simulator(
@@ -438,12 +437,33 @@ class TestVectorBackendSelection:
         )
         assert simulator.engine == "vector"
         execution = simulator.run(initial, max_steps=40)
-        assert calls == {"run_supersteps": 1, "run": 0}
+        assert calls == {"run_supersteps": 1}
         assert simulator.last_run_backend == "vector"
         assert execution.steps == reference.steps
         assert execution.truncated == reference.truncated
         assert list(execution.configurations) == list(reference.configurations)
         assert [execution.enabled_at(i) for i in range(execution.steps)] == [
             reference.enabled_at(i) for i in range(reference.steps)
+        ]
+        assert _normalized_records(execution) == _normalized_records(reference)
+
+    def test_vector_resolves_to_incremental_under_random_daemons(self):
+        """``engine="vector"`` under a non-synchronous daemon runs the dict
+        engine, and its run equals the reference engine's."""
+        protocol = AsynchronousUnison(ring_graph(64), validate_parameters=False)
+        initial = protocol.random_configuration(random.Random(3))
+        reference = Simulator(
+            protocol, DistributedDaemon(0.9), rng=random.Random(4), engine="reference"
+        ).run(initial, max_steps=60)
+        simulator = Simulator(
+            protocol, DistributedDaemon(0.9), rng=random.Random(4), engine="vector"
+        )
+        assert simulator.engine == "incremental"
+        execution = simulator.run(initial, max_steps=60)
+        assert simulator.last_run_backend == "dict"
+        assert execution.steps == reference.steps
+        assert list(execution.configurations) == list(reference.configurations)
+        assert [execution.selection(i) for i in range(execution.steps)] == [
+            reference.selection(i) for i in range(reference.steps)
         ]
         assert _normalized_records(execution) == _normalized_records(reference)

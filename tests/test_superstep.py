@@ -5,8 +5,8 @@ supersteps whenever the daemon is synchronous — trace-for-trace against
 the reference engine through the simulator; these tests drive
 :meth:`VectorEngine.run_supersteps` directly at adversarial cadences
 (superstep 1, 3, 5 against traces hundreds of steps long), mostly against
-the single-step loop :meth:`VectorEngine.run` called directly as the
-oracle, and pin the pieces the batched loop adds over it: checkpointed
+the reference engine under the synchronous daemon as the oracle, and pin
+the pieces the batched loop adds over a step-by-step run: checkpointed
 replay at non-checkpoint indices, mid-block ``stop_when`` rollback,
 mid-block terminal detection, the fixed-point fast-forward, the
 vectorized sparse guard refresh (subset kernels), in-kernel safety
@@ -53,6 +53,13 @@ def _records(execution, index):
     )
 
 
+def _reference_run(protocol, initial, max_steps, trace="full", stop_when=None):
+    """The oracle: the reference engine under the synchronous daemon."""
+    return Simulator(
+        protocol, SynchronousDaemon(), rng=random.Random(0), engine="reference"
+    ).run(initial, max_steps=max_steps, stop_when=stop_when, trace=trace)
+
+
 def _assert_same_trace(actual, expected):
     assert actual.steps == expected.steps
     assert actual.truncated == expected.truncated
@@ -81,9 +88,7 @@ def test_supersteps_match_single_step_at_every_cadence(
     protocol = PROTOCOLS[protocol_name]()
     initial = protocol.random_configuration(random.Random(7))
     engine = VectorEngine(protocol)
-    single = engine.run(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=200, trace=trace
-    )
+    single = _reference_run(protocol, initial, max_steps=200, trace=trace)
     batched = engine.run_supersteps(
         SynchronousDaemon(),
         random.Random(0),
@@ -102,9 +107,7 @@ def test_light_trace_random_access_at_non_checkpoint_indices(trace):
     protocol = SSME(ring_graph(10))
     initial = protocol.random_configuration(random.Random(3))
     engine = VectorEngine(protocol)
-    oracle = engine.run(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=150, trace="full"
-    )
+    oracle = _reference_run(protocol, initial, max_steps=150, trace="full")
     batched = engine.run_supersteps(
         SynchronousDaemon(),
         random.Random(0),
@@ -122,30 +125,35 @@ def test_light_trace_random_access_at_non_checkpoint_indices(trace):
 
 @pytest.mark.parametrize("target", [0, 1, 6, 63, 64, 65, 130])
 def test_stop_when_rolls_back_to_the_exact_step(target):
-    """A mid-block trigger keeps exactly the single-step prefix."""
+    """A mid-block trigger keeps exactly the reference engine's prefix."""
     protocol = SSME(ring_graph(10))
     initial = protocol.random_configuration(random.Random(5))
     engine = VectorEngine(protocol)
 
-    def runner(run, **kwargs):
+    def runner(run):
         seen = []
 
         def stop_when(configuration, index):
             seen.append(index)
             return index >= target
 
-        execution = run(
+        return run(stop_when), seen
+
+    single, seen_single = runner(
+        lambda stop_when: _reference_run(
+            protocol, initial, max_steps=200, stop_when=stop_when
+        )
+    )
+    batched, seen_batched = runner(
+        lambda stop_when: engine.run_supersteps(
             SynchronousDaemon(),
             random.Random(0),
             initial,
             max_steps=200,
             stop_when=stop_when,
-            **kwargs,
+            superstep=4,
         )
-        return execution, seen
-
-    single, seen_single = runner(engine.run)
-    batched, seen_batched = runner(engine.run_supersteps, superstep=4)
+    )
     # The predicate observes the same gapless index sequence...
     assert seen_batched == seen_single == list(range(target + 1))
     # ...and the recorded prefixes are identical.
@@ -246,9 +254,7 @@ def test_terminal_detected_mid_block(trace):
     initial = protocol.random_configuration(random.Random(9))
     horizon = max(dict(initial).values())
     engine = VectorEngine(protocol)
-    single = engine.run(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=500, trace=trace
-    )
+    single = _reference_run(protocol, initial, max_steps=500, trace=trace)
     batched = engine.run_supersteps(
         SynchronousDaemon(),
         random.Random(0),
@@ -267,9 +273,7 @@ def test_fixed_point_fast_forwards_the_remaining_budget(trace):
     protocol = StutterProtocol(ring_graph(6))
     initial = protocol.random_configuration(random.Random(2))
     engine = VectorEngine(protocol)
-    single = engine.run(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=300, trace=trace
-    )
+    single = _reference_run(protocol, initial, max_steps=300, trace=trace)
     batched = engine.run_supersteps(
         SynchronousDaemon(),
         random.Random(0),
@@ -357,21 +361,43 @@ def test_dirty_rows_matches_np_unique(graph):
             assert np.array_equal(actual, expected), (size, changed)
 
 
-def test_subset_refresh_keeps_sparse_selections_exact():
-    """A central daemon forced onto the vector backend exercises the
-    in-place ``rule_ids`` patching on every action."""
-    protocol = AsynchronousUnison(ring_graph(24), validate_parameters=False)
-    initial = protocol.random_configuration(random.Random(4))
-    reference = Simulator(
-        protocol, CentralDaemon(), rng=random.Random(1), engine="reference"
-    ).run(initial, max_steps=120)
+def _unison_staircase():
+    """Unison on ring(40) with clock i at vertex i: only the lowest clock
+    can tick at first, and the enabled set grows a few rows per step."""
+    protocol = AsynchronousUnison(ring_graph(40), validate_parameters=False)
+    return protocol, protocol.configuration({v: v for v in protocol.graph.vertices})
+
+
+def _dijkstra_random():
+    protocol = DijkstraTokenRing(ring_graph(24))
+    return protocol, protocol.random_configuration(random.Random(4))
+
+
+@pytest.mark.parametrize(
+    "case", [_unison_staircase, _dijkstra_random], ids=["unison", "dijkstra"]
+)
+def test_subset_refresh_keeps_sparse_selections_exact(case, monkeypatch):
+    """Synchronous runs whose steps fire few rows exercise the in-place
+    ``rule_ids`` patching of the sparse guard refresh."""
+    protocol, initial = case()
+    reference = _reference_run(protocol, initial, max_steps=120)
+    subset_calls = []
+    kernel_type = type(protocol.array_kernel())
+    original = kernel_type.enabled_rules_for
+
+    def counted(self, states, rows, index):
+        subset_calls.append(int(rows.size))
+        return original(self, states, rows, index)
+
+    monkeypatch.setattr(kernel_type, "enabled_rules_for", counted)
     vectorized = Simulator(
-        protocol, CentralDaemon(), rng=random.Random(1), engine="vector"
+        protocol, SynchronousDaemon(), rng=random.Random(1), engine="vector"
     )
     assert vectorized.engine == "vector"
     execution = vectorized.run(initial, max_steps=120)
     assert vectorized.last_run_backend == "vector"
-    assert list(execution.configurations) == list(reference.configurations)
+    assert subset_calls and max(subset_calls) < protocol.graph.n
+    _assert_same_trace(execution, reference)
 
 
 # --------------------------------------------------------------------- #
@@ -906,13 +932,11 @@ def test_run_state_tracks_rule_ids_mask_and_count():
 @pytest.mark.parametrize("dense", [True, False], ids=["all-dense", "all-sparse"])
 def test_forced_branches_replay_the_same_run(protocol_name, dense, monkeypatch):
     """Whole runs with every step forced onto one branch equal the
-    single-step loop: the tracked mask, count and rule ids stay exact."""
+    reference engine: the tracked mask, count and rule ids stay exact."""
     protocol = BRANCH_PROTOCOLS[protocol_name]()
     initial = protocol.random_configuration(random.Random(3))
     engine = VectorEngine(protocol)
-    single = engine.run(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=120, trace="light"
-    )
+    single = _reference_run(protocol, initial, max_steps=120, trace="light")
     _force_dense(monkeypatch, dense)
     batched = engine.run_supersteps(
         SynchronousDaemon(), random.Random(0), initial, max_steps=120,
@@ -929,9 +953,7 @@ def test_sparse_steps_leave_recorded_dense_masks_intact():
     enabled set."""
     protocol, initial = _dijkstra_dense_then_sparse()
     engine = VectorEngine(protocol)
-    single = engine.run(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=200, trace="light"
-    )
+    single = _reference_run(protocol, initial, max_steps=200, trace="light")
     batched = engine.run_supersteps(
         SynchronousDaemon(), random.Random(0), initial, max_steps=200, trace="light"
     )
@@ -964,9 +986,7 @@ def test_replayed_actions_after_dense_steps_match_single_step(protocol_name, tra
     protocol = BRANCH_PROTOCOLS[protocol_name]()
     initial = protocol.random_configuration(random.Random(8))
     engine = VectorEngine(protocol)
-    single = engine.run(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=90, trace=trace
-    )
+    single = _reference_run(protocol, initial, max_steps=90, trace=trace)
     batched = engine.run_supersteps(
         SynchronousDaemon(), random.Random(0), initial, max_steps=90,
         trace=trace, superstep=7,
@@ -1084,3 +1104,33 @@ def test_tracked_privileged_count_matches_a_full_recount(case):
         assert getattr(monitor, query)(spec) == getattr(reference, query)(
             reference.specifications[0]
         )
+
+
+def test_runs_over_one_protocol_share_its_array_engine(monkeypatch):
+    """Every simulator over one protocol reuses the protocol's graph index
+    and prepared kernel, while each keeps its own ``last_run_backend``."""
+    builds = []
+    original = GraphIndex.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphIndex, "__init__", counted)
+    protocol = SSME(ring_graph(64))
+    specification = MutualExclusionSpec(protocol)
+    for seed in (1, 2):
+        measurement = measure_stabilization(
+            protocol,
+            SynchronousDaemon(),
+            protocol.random_configuration(random.Random(seed)),
+            specification,
+            horizon=protocol.synchronous_stabilization_bound() + 64,
+        )
+        assert measurement.stabilized
+    assert len(builds) == 1
+    first = Simulator(protocol, SynchronousDaemon(), engine="vector")
+    second = Simulator(protocol, SynchronousDaemon(), engine="vector")
+    first.run(protocol.random_configuration(random.Random(3)), max_steps=5)
+    assert (first.last_run_backend, second.last_run_backend) == ("vector", None)
+    assert len(builds) == 1

@@ -29,6 +29,7 @@ from repro.core import (
     Protocol,
     Rule,
     Simulator,
+    StarvationDaemon,
     SynchronousDaemon,
     TiledGraphIndex,
     VectorEngine,
@@ -147,11 +148,9 @@ class TestGraphIndex:
         rng = random.Random(3)
         flags = np.array([rng.random() < 0.5 for _ in range(int(index.indices.size))])
         any_vec = index.any_over_edges(flags)
-        all_vec = index.all_over_edges(flags)
         for i in range(index.n):
             segment = flags[index.indptr[i] : index.indptr[i + 1]].tolist()
             assert bool(any_vec[i]) == any(segment)
-            assert bool(all_vec[i]) == all(segment)
 
 
 class TestCodecs:
@@ -470,7 +469,8 @@ class TwoCounterKernel(ArrayKernel):
         b = states[:, 1]
         sync = a < b
         edge_ok = b[index.indices] > a[index.edge_src]
-        catch = (a == b) & index.all_over_edges(edge_ok)
+        all_ok = np.bincount(index.edge_src[~edge_ok], minlength=index.n) == 0
+        catch = (a == b) & all_ok
         rule_ids = np.full(index.n, -1, dtype=np.int64)
         rule_ids[catch] = 1
         rule_ids[sync] = 0
@@ -598,33 +598,26 @@ class TestBackendSelection:
             == "vector"
         )
 
-    def test_auto_selection_routes_mid_density_daemons_at_scale(self):
-        """p >= 0.2 daemons take the array backend once n is large enough
-        for the vectorized sparse refresh to win (prefers_array_backend)."""
-        small = AsynchronousUnison(ring_graph(16), validate_parameters=False)
-        assert Simulator(small, DistributedDaemon(0.4)).engine == "incremental"
-        big = AsynchronousUnison(ring_graph(512), validate_parameters=False)
-        assert Simulator(big, DistributedDaemon(0.4)).engine == "vector"
-        # Below the density floor the dirty-set engine keeps the run.
-        assert Simulator(big, DistributedDaemon(0.05)).engine == "incremental"
-
+    def test_synchronous_daemon_prefers_arrays_from_size_floor(self):
+        assert not prefers_array_backend(SynchronousDaemon(), _DENSE_MIN_N - 1)
+        assert prefers_array_backend(SynchronousDaemon(), _DENSE_MIN_N)
 
     @pytest.mark.parametrize(
         "daemon",
-        [SynchronousDaemon(), DistributedDaemon(0.5), DistributedDaemon(0.9)],
-        ids=["sd", "dd0.5", "dd0.9"],
+        [
+            DistributedDaemon(0.4),
+            DistributedDaemon(0.9),
+            StarvationDaemon(),
+            CentralDaemon(),
+        ],
+        ids=["dd0.4", "dd0.9", "ud-starve", "cd"],
     )
-    def test_dense_daemons_prefer_arrays_from_size_floor(self, daemon):
-        assert not prefers_array_backend(daemon, _DENSE_MIN_N - 1)
-        assert prefers_array_backend(daemon, _DENSE_MIN_N)
-
-    def test_mid_density_and_central_daemons_ignore_dense_floor(self):
-        mid = DistributedDaemon(0.4)
-        for n in (_DENSE_MIN_N - 1, _DENSE_MIN_N, 511):
-            assert not prefers_array_backend(mid, n)
-        assert prefers_array_backend(mid, 512)
+    def test_non_synchronous_daemons_never_prefer_arrays(self, daemon):
         for n in (_DENSE_MIN_N - 1, _DENSE_MIN_N, 512, 10**6):
-            assert not prefers_array_backend(CentralDaemon(), n)
+            assert not prefers_array_backend(daemon, n)
+        protocol = AsynchronousUnison(ring_graph(512), validate_parameters=False)
+        for engine in ("auto", "vector"):
+            assert Simulator(protocol, daemon, engine=engine).engine == "incremental"
 
     @pytest.mark.parametrize(
         "n, expected", [(_DENSE_MIN_N - 1, "dict"), (_DENSE_MIN_N, "vector")]
@@ -633,7 +626,10 @@ class TestBackendSelection:
         protocol = AsynchronousUnison(ring_graph(n), validate_parameters=False)
         initial = protocol.random_configuration(random.Random(2))
         engine = IncrementalEngine(protocol)
-        for daemon in (SynchronousDaemon(), DistributedDaemon(0.5)):
+        for daemon, backend in (
+            (SynchronousDaemon(), expected),
+            (DistributedDaemon(0.5), "dict"),
+        ):
             engine.run(
                 daemon=daemon,
                 rng=random.Random(3),
@@ -641,4 +637,4 @@ class TestBackendSelection:
                 max_steps=10,
                 backend="auto",
             )
-            assert engine.last_run_backend == expected
+            assert engine.last_run_backend == backend
