@@ -65,9 +65,9 @@ class Daemon(ABC):
 
     #: True only for daemons whose selection is *always* the full enabled
     #: set (the synchronous daemon).  Such schedules are deterministic given
-    #: the initial configuration, which is what licenses the batched
-    #: superstep path of :class:`repro.core.vector.VectorEngine`: K steps
-    #: can be executed as pure array operations because no per-step daemon
+    #: the initial configuration, which is what licenses the superstep
+    #: path of :class:`repro.core.vector.VectorEngine`: every step can be
+    #: executed as pure array operations because no per-step daemon
     #: decision exists.  Never set this on a daemon that can activate a
     #: proper subset — the superstep path skips ``select`` entirely.
     #: Backend selection reads this flag alone: synchronous runs may take

@@ -185,7 +185,7 @@ class IncrementalEngine:
         ``backend`` selects between the dict-based sparse/batch paths
         (``"dict"``) and the NumPy array-state kernel (``"vector"``), which
         runs synchronous-daemon runs — a deterministic schedule with no
-        per-step decision — in batched supersteps
+        per-step decision — in supersteps
         (:meth:`VectorEngine.run_supersteps`); ``"auto"`` (default) picks
         the array backend when the protocol declares one and
         :func:`prefers_array_backend` approves the daemon on this graph's

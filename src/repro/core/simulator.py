@@ -82,7 +82,7 @@ class Simulator:
         ``"incremental"`` forces the dict-based dirty-set engine of
         :mod:`repro.core.engine`;
         ``"vector"`` requests the array-state kernel, which runs
-        synchronous-daemon runs in batched supersteps
+        synchronous-daemon runs in supersteps
         (:meth:`~repro.core.vector.VectorEngine.run_supersteps`); it
         resolves to ``"incremental"`` under any other daemon and when the
         capability is unavailable.  ``"reference"`` runs the naive

@@ -58,15 +58,15 @@ class Specification(ABC):
           (:meth:`repro.core.VectorEngine.run_supersteps`) calls it with
           ``m = 1`` at index 0 and — unless :meth:`safety_tracker` declares
           a tracker — after every changing step of a run monitored by a
-          bare :class:`~repro.core.SafetyMonitor`, on its own state array,
-          so the run is never replayed for the monitor.  ``order`` is then
+          :class:`~repro.core.SafetyMonitor`, on its own state array, so
+          the monitor makes no :meth:`is_safe` call.  ``order`` is then
           the same tuple for the whole run: implementations may cache
           derived index arrays keyed on its identity.
 
         The base implementation returns ``None``, meaning "unsupported":
         the checker then decodes and evaluates per configuration, and the
-        superstep engine replays each block through :meth:`is_safe`
-        (correct either way, just slower).
+        superstep engine's monitor calls :meth:`is_safe` on a live view of
+        every configuration (correct either way, just slower).
         """
         del rows, order, protocol
         return None

@@ -73,12 +73,13 @@ class SafetyMonitor:
     monitor only derives booleans from it and never retains it, which is
     exactly the contract such views require.
 
-    The synchronous superstep engine recognizes a bare ``monitor.observe``
-    (no wrapped predicate) whose specifications all implement
+    The synchronous superstep engine recognizes ``monitor.observe`` when
+    the monitor's specifications all implement
     :meth:`~repro.core.Specification.safe_rows`: it evaluates safety on its
     own state array and records the verdicts through
-    :meth:`observe_verdicts`, so the run never replays a block for the
-    monitor.  The recorded indices are the same either way.
+    :meth:`observe_verdicts`, then calls the wrapped predicate (if any) at
+    the same index, so no :meth:`~repro.core.Specification.is_safe` call
+    is made.  The recorded indices are the same either way.
     """
 
     __slots__ = (

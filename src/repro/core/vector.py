@@ -10,7 +10,7 @@ sweeps, E3/E6 at large n) are bound by at scale.
 This module replaces the whole per-step scan by a handful of array
 operations for protocols whose per-vertex state is a fixed small tuple of
 machine integers (unison clocks, Dijkstra/SSME token counters), and runs
-synchronous-daemon runs in batched supersteps:
+synchronous-daemon runs in supersteps:
 
 * :class:`GraphIndex` — the communication graph flattened once into
   integer index arrays: a self-padded neighbour-slot table with an
@@ -656,18 +656,20 @@ class _SuperstepReplayer:
     """Deterministic re-execution of a superstep run from its checkpoints.
 
     The superstep path records only periodic state-array snapshots; every
-    per-step artefact (configurations, deltas, activation records) is
-    reconstructed on demand by replaying the kernel forward from the nearest
-    checkpoint at or before the requested index.  The kernel is a pure
-    function of the state array, and the replay steps a :class:`_RunState`
-    exactly as the run's own loop does (same dense/sparse branches), so
-    the replay is bit-identical to the original run.
+    per-step artefact a trace reader asks for later (light-trace
+    configurations and deltas, activation records) is reconstructed on
+    demand by replaying the kernel forward from the nearest checkpoint at
+    or before the requested index.  The kernel is a pure function of the
+    state array, and the replay steps a :class:`_RunState` exactly as the
+    run's own loop does (same dense/sparse branches), so the replay is
+    bit-identical to the original run.
 
     One mutable cursor (a :class:`_RunState` positioned at configuration
     ``_at``) is kept; sequential access — the dominant pattern through
     ``LazyConfigurationTrace.iter_from`` and aggregate walks — costs one
     kernel step per index, and a random access costs at most one
-    checkpoint load plus ``superstep`` kernel steps.
+    checkpoint load plus :attr:`VectorEngine.CHECKPOINT_SPACING` − 1
+    kernel steps.
     """
 
     __slots__ = ("_engine", "_checkpoints", "_at", "_run")
@@ -679,26 +681,20 @@ class _SuperstepReplayer:
         self._at = -1
         self._run: Optional[_RunState] = None
 
-    def _load(self, step: int) -> None:
-        self._run = _RunState(self._engine, self._checkpoints[step].copy())
-        self._at = step
-
     def seek(self, step: int) -> None:
-        """Position the cursor on configuration ``step``."""
+        """Position the cursor on configuration ``step``: from the nearest
+        checkpoint at or before it, unless the cursor already sits between
+        that checkpoint and ``step``."""
         if self._at == step:
             return
-        if self._at < 0 or step < self._at:
-            base = max(k for k in self._checkpoints if k <= step)
-            self._load(base)
-        else:
-            nearer = [k for k in self._checkpoints if self._at < k <= step]
-            if nearer:
-                self._load(max(nearer))
+        base = max(k for k in self._checkpoints if k <= step)
+        if self._at < base or self._at > step:
+            self._run = _RunState(self._engine, self._checkpoints[base].copy())
+            self._at = base
         while self._at < step:
             self._run.step()
             self._at += 1
 
-    # -- accessors (all position the cursor as a side effect) --------------
     def step_data(self, step: int):
         """``(selected, rule_ids, old_rows, new_rows, changed_rows)`` of
         action ``step``: the fired row positions, their rule ids, their
@@ -720,27 +716,6 @@ class _SuperstepReplayer:
         new_rows = run.states[selected]
         changed_rows = _changed_rows(new_rows, old_rows) if changed else None
         return selected, rule_ids, old_rows, new_rows, changed_rows
-
-    def states_at(self, step: int):
-        """The live cursor array at configuration ``step`` (do not retain)."""
-        self.seek(step)
-        return self._run.states
-
-    def configuration_at(self, step: int) -> Configuration:
-        """Configuration ``step`` as an immutable decoded snapshot."""
-        self.seek(step)
-        engine = self._engine
-        return Configuration._from_trusted_dict(
-            dict(zip(engine._index.vertices, engine._codec.decode(self._run.states)))
-        )
-
-    def view_at(self, step: int) -> ArrayStateView:
-        """A live :class:`ArrayStateView` of configuration ``step``.
-
-        Valid only until the cursor moves — consume immediately.
-        """
-        self.seek(step)
-        return ArrayStateView(self._engine._index, self._run.states, self._engine._codec)
 
 
 class _SuperstepActionLog(Sequence):
@@ -1005,17 +980,13 @@ class _RunState:
 
 
 def _row_safety_monitor(stop_when):
-    """The :class:`~repro.core.SafetyMonitor` whose bare ``observe`` is
-    ``stop_when``, or None for every other predicate (including a monitor
-    wrapping a ``stop_when`` of its own, which may stop the run)."""
+    """The :class:`~repro.core.SafetyMonitor` whose ``observe`` is
+    ``stop_when`` (bare or wrapping a predicate of its own), or None for
+    every other predicate."""
     from .stabilization import SafetyMonitor
 
     monitor = getattr(stop_when, "__self__", None)
-    if (
-        isinstance(monitor, SafetyMonitor)
-        and stop_when.__func__ is SafetyMonitor.observe
-        and monitor.stop_when is None
-    ):
+    if isinstance(monitor, SafetyMonitor) and stop_when.__func__ is SafetyMonitor.observe:
         return monitor
     return None
 
@@ -1059,10 +1030,10 @@ class VectorEngine:
 
     One instance per protocol (kept on the protocol instance by
     :class:`IncrementalEngine`); stateless between runs.
-    :meth:`run_supersteps` executes synchronous-daemon runs in kernel
-    blocks over one run state (:class:`_RunState`, which fires and
-    refreshes the guards).  Each step is a constant number of whole-array
-    operations: guard evaluation through the protocol's
+    :meth:`run_supersteps` executes synchronous-daemon runs one step per
+    loop iteration over one run state (:class:`_RunState`, which fires
+    and refreshes the guards).  Each step is a constant number of
+    whole-array operations: guard evaluation through the protocol's
     :class:`ArrayKernel`, firing through vectorized actions, and
     O(Δ)-in-C bookkeeping for the trace.  The enabled mask is tracked
     across firings and the enabled row positions are recomputed only when
@@ -1079,9 +1050,9 @@ class VectorEngine:
         "_subset_refresh",
     )
 
-    #: Default superstep cadence: K synchronous steps executed per kernel
-    #: block, and one state-array checkpoint retained per block boundary.
-    DEFAULT_SUPERSTEP = 64
+    #: Steps between two state-array checkpoints of a run: a trace reader's
+    #: random access replays at most this many steps minus one.
+    CHECKPOINT_SPACING = 64
 
     #: Sparse-refresh density threshold: after a firing whose changed rows
     #: plus their neighbourhood ("dirty" rows) cover less than
@@ -1155,23 +1126,29 @@ class VectorEngine:
         stop_when: Optional[Callable[[Configuration, int], bool]] = None,
         trace: str = "full",
         initial_array=None,
-        superstep: Optional[int] = None,
     ) -> Execution:
-        """Run up to ``max_steps`` *synchronous* actions in kernel blocks.
+        """Run up to ``max_steps`` *synchronous* actions on one state array.
 
         Same contract — and bit-identical observable executions — as the
-        reference engine under a synchronous daemon, but executes
-        ``superstep`` (default :attr:`DEFAULT_SUPERSTEP`) steps per block as
-        pure array operations: no daemon call, no per-step trace recording,
-        no per-step ``stop_when``.  What makes that sound is ``daemon.synchronous``: the
-        selection of every step is the full enabled set, so the schedule is
-        deterministic and there is no per-step decision to consult.
+        reference engine under a synchronous daemon, but each step is a
+        handful of array operations and the daemon is never called.  What
+        makes that sound is ``daemon.synchronous``: the selection of every
+        step is the full enabled set, so the schedule is deterministic and
+        there is no per-step decision to consult.
 
-        * **Traces** record one state-array checkpoint per block boundary;
-          per-step configurations, deltas and activation records are
+        * **Observation** follows the dict engine: every index gets one
+          ``stop_when`` call, on the loop's own state, before that index's
+          step.  Light traces hand the predicate one live
+          :class:`ArrayStateView` of the state array; full traces hand it
+          the decoded configuration, which the loop builds after every
+          changing step and reuses otherwise.
+        * **Traces** record one state-array checkpoint every
+          :attr:`CHECKPOINT_SPACING` steps; light-trace configurations and
+          deltas, and the activation records of both modes, are
           reconstructed on demand by replaying the (deterministic) kernel
-          from the nearest checkpoint (:class:`_SuperstepReplayer`), so
-          memory stays O(n · steps / superstep) instead of O(n · steps).
+          from the nearest checkpoint (:class:`_SuperstepReplayer`), so a
+          light trace keeps O(n · steps / CHECKPOINT_SPACING) memory
+          instead of O(n · steps).
         * **Steps** fire by mask when dense (at least ``n / 6`` enabled
           rows) and by row positions otherwise (:meth:`_RunState.step`).
         * **Enabled sets and selections** are recorded in the form the
@@ -1183,42 +1160,33 @@ class VectorEngine:
           cache it per distinct record, so a run nobody inspects builds
           none.
         * **Safety monitoring** stays in-kernel when ``stop_when`` is a
-          :class:`~repro.core.SafetyMonitor`'s bare ``observe`` (no wrapped
-          predicate) and every monitored specification implements
+          :class:`~repro.core.SafetyMonitor`'s ``observe`` and every
+          monitored specification implements
           :meth:`~repro.core.Specification.safe_rows`: the specifications
           judge the loop's own state array at index 0 and after every
           changing step, and the verdicts go to
           :meth:`SafetyMonitor.observe_verdicts`.  A specification with a
           :meth:`~repro.core.Specification.safety_tracker` is judged from
-          the rows the guard refresh re-evaluated.  Such a monitor never
-          stops a run, so nothing is replayed and nothing is rolled back.
-        * **Any other stop_when** is evaluated in batch at block boundaries:
-          a second cursor replays the block's configurations strictly in
-          order, handing each to the predicate with its exact step index —
-          so stateful in-order observers work unchanged — and a trigger at
-          step ``t`` rolls the recorded run back to exactly the prefix a
-          step-by-step engine would have kept.
-        * **Terminal detection** stays in-kernel: an empty enabled mask ends
-          the block early (``truncated=False``), and a fixed point (enabled
-          vertices whose firing changes nothing) fast-forwards the remaining
-          budget without further kernel work when no ``stop_when`` needs
-          per-index evaluation.
+          the rows the guard refresh re-evaluated.  A predicate the
+          monitor wraps is then called at the same index, after the
+          verdicts, as :meth:`SafetyMonitor.observe` orders them.
+        * **Terminal detection** stays in-kernel: an empty enabled mask
+          ends the run (``truncated=False``), and a fixed point (enabled
+          vertices whose firing changes nothing) fast-forwards the
+          remaining budget without further kernel work when no
+          ``stop_when`` needs per-index evaluation.
         """
         if not daemon.synchronous:
             raise SimulationError(
-                "run_supersteps requires a synchronous daemon: batched "
-                "superstep execution skips per-step daemon selection"
+                "run_supersteps requires a synchronous daemon: superstep "
+                "execution skips per-step daemon selection"
             )
-        if superstep is None:
-            superstep = self.DEFAULT_SUPERSTEP
-        if superstep < 1:
-            raise SimulationError(f"superstep cadence must be >= 1, got {superstep}")
         states = self._initial_states(initial, trace, initial_array)
         index = self._index
         codec = self._codec
-        kernel = self._kernel
         vertices = index.vertices
         light = trace == "light"
+        spacing = self.CHECKPOINT_SPACING
 
         # One enabled record per configuration: the mask on dense steps,
         # row positions on sparse ones; consecutive equal masks share one
@@ -1226,7 +1194,7 @@ class VectorEngine:
         enabled_log: List[object] = []
         step_counts: List[int] = []
         checkpoints: Dict[int, object] = {0: states.copy()}
-        replayer = _SuperstepReplayer(self, checkpoints)
+        predicate = stop_when
         monitor = _row_safety_monitor(stop_when)
         if monitor is not None:
             row_checks = _row_checks(monitor, states, vertices)
@@ -1234,49 +1202,26 @@ class VectorEngine:
                 monitor = None
             else:
                 checks, verdicts = row_checks
-                monitor.observe_verdicts(verdicts, 0)
-        # Every other predicate is scanned at block boundaries on its own
-        # strictly sequential cursor, so the main loop's state array (which
-        # runs ahead of the scanned index) is never observed by it.
-        scanner = (
-            _SuperstepReplayer(self, checkpoints)
-            if stop_when is not None and monitor is None
-            else None
-        )
-        scanned_to = -1
-
-        def scan_until(limit: int) -> Optional[int]:
-            """First index in ``scanned_to+1 .. limit`` where ``stop_when``
-            fires (observing replayed configurations in order), or None."""
-            nonlocal scanned_to
-            while scanned_to < limit:
-                target = scanned_to + 1
-                observed = (
-                    scanner.view_at(target)
-                    if light
-                    else scanner.configuration_at(target)
-                )
-                if stop_when(observed, target):
-                    return target
-                scanned_to = target
-            return None
+                predicate = monitor.stop_when
+        # The predicate observes the loop's own state: one live view over
+        # the state array (mutated in place) or the decoded configuration.
+        live_view = ArrayStateView(index, states, codec) if light else None
+        configurations: List[Configuration] = [initial]
+        current = initial
 
         steps = 0
         truncated = True
         run_state = _RunState(self, states)
-        stop_at: Optional[int] = None
         while True:
             enabled = run_state.enabled()
             enabled_log.append(enabled)
-            # Batched stop_when: at each block boundary (and at entry, for
-            # index 0) replay the block just executed strictly in order and
-            # hand every configuration to the predicate with its exact step
-            # index.  Scanning *after* recording the boundary's enabled set
-            # keeps rollback prefixes complete.
-            if scanner is not None and steps % superstep == 0:
-                stop_at = scan_until(steps)
-                if stop_at is not None:
-                    break
+            if monitor is not None:
+                monitor.observe_verdicts(verdicts, steps)
+            if predicate is not None and predicate(
+                live_view if light else current, steps
+            ):
+                truncated = True
+                break
             enabled_count = run_state.count
             if enabled_count == 0:
                 truncated = False
@@ -1287,45 +1232,43 @@ class VectorEngine:
             any_change = run_state.step()
             step_counts.append(enabled_count)
             steps += 1
-            if monitor is not None:
-                # An unchanged configuration keeps its verdicts; a changed
-                # one is judged from the rows the guard refresh re-evaluated.
-                if any_change:
+            if any_change:
+                if monitor is not None:
+                    # A changed configuration is judged from the rows the
+                    # guard refresh re-evaluated; an unchanged one keeps
+                    # its verdicts.
                     dirty = run_state.dirty
                     verdicts = [check(states, dirty) for check in checks]
-                monitor.observe_verdicts(verdicts, steps)
-            if not any_change and stop_when is None:
+                if not light:
+                    current = Configuration._from_trusted_dict(
+                        dict(zip(vertices, codec.decode(states)))
+                    )
+            elif stop_when is None:
                 # Fixed point: enabled vertices whose firing changes nothing.
                 # Every remaining step is this exact step — record it
                 # wholesale instead of spinning the kernel.
                 checkpoints[steps] = states.copy()
                 remaining = max_steps - steps
-                enabled_log.extend([enabled] * remaining)
+                enabled_log.extend([enabled] * (remaining + 1))
                 step_counts.extend([enabled_count] * remaining)
+                if not light:
+                    configurations.extend([current] * (remaining + 1))
                 steps = max_steps
-                enabled_log.append(enabled)
                 truncated = True
                 break
-            if steps % superstep == 0:
+            if not light:
+                configurations.append(current)
+            if steps % spacing == 0:
                 checkpoints[steps] = states.copy()
-        if scanner is not None and stop_at is None:
-            # Scan the tail block (terminal, budget-exhausted, or partial).
-            stop_at = scan_until(steps)
-        if stop_at is not None:
-            # Roll back to exactly the prefix a step-by-step engine keeps
-            # when stop_when fires at stop_at: stop_at completed steps, the
-            # enabled set of stop_at recorded, truncated.
-            steps = stop_at
-            truncated = True
-            del enabled_log[steps + 1 :]
-            del step_counts[steps:]
-            for key in [k for k in checkpoints if k > steps]:
-                del checkpoints[key]
 
         enabled_sets = LazyEnabledSets(enabled_log, vertices)
         selections = enabled_sets[:steps]
         action_log = _SuperstepActionLog(
-            replayer, step_counts, vertices, kernel.rule_names, codec
+            _SuperstepReplayer(self, checkpoints),
+            step_counts,
+            vertices,
+            self._kernel.rule_names,
+            codec,
         )
         activations = _SuperstepActivations(action_log, selections)
         if light:
@@ -1337,12 +1280,6 @@ class VectorEngine:
                 truncated=truncated,
                 deltas=_SuperstepDeltaLog(action_log),
             )
-        configurations: List[Configuration] = [initial]
-        current = initial
-        for step_index in range(steps):
-            if replayer.step_data(step_index)[4] is not None:
-                current = replayer.configuration_at(step_index + 1)
-            configurations.append(current)
         return Execution(
             configurations=configurations,
             selections=selections,

@@ -66,7 +66,7 @@ LARGE_N = 512
 
 #: Default (topology, size) sweep.  Small sizes keep the full workload and
 #: a liveness horizon covering one clock period K = Θ(n·diam); the large
-#: ring rows ride the batched superstep backend through the safety-only
+#: ring rows ride the superstep backend through the safety-only
 #: regime (the Theorem 2 bound n/4 is still met exactly by the analytic
 #: witness).
 DEFAULT_SWEEP: Tuple[Tuple[str, int], ...] = (

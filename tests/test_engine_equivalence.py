@@ -124,10 +124,11 @@ def naive_run(protocol, daemon, rng, initial, max_steps):
 
 
 #: Engine/trace pairs every equivalence case compares against the first
-#: (reference) entry.  The vector entries degrade to the incremental
-#: engine for protocols without a kernel — the runs are then redundant but
-#: the assertions still hold, which is exactly the graceful-fallback
-#: contract.
+#: (reference) entry.  The vector entries resolve to the incremental
+#: engine under every non-synchronous daemon and for protocols without a
+#: kernel (the graceful-fallback contract, pinned by
+#: ``TestVectorBackendSelection``); :func:`distinct_simulators` then skips
+#: them, since they would rerun an incremental mode already compared.
 EQUIVALENCE_MODES = (
     ("reference", "full"),
     ("incremental", "full"),
@@ -137,21 +138,33 @@ EQUIVALENCE_MODES = (
 )
 
 
-def assert_equivalent_runs(protocol, daemon_name, seed, steps):
-    """Run every engine/trace mode and compare the executions against
-    reference/full (plus a hand-rolled naive loop)."""
-    initial = protocol.random_configuration(random.Random(seed))
-    executions = []
-    for engine, trace in EQUIVALENCE_MODES:
+def distinct_simulators(protocol, daemon_factory, seed, modes=EQUIVALENCE_MODES):
+    """One simulator per ``(engine, trace)`` entry of ``modes`` whose
+    resolved ``(simulator.engine, trace)`` pair no earlier entry has."""
+    simulators = {}
+    for engine, trace in modes:
         simulator = Simulator(
             protocol,
-            DAEMON_FACTORIES[daemon_name](),
+            daemon_factory(),
             rng=random.Random(seed + 1),
             engine=engine,
             trace=trace,
         )
-        # The reference engine records full traces regardless of mode.
-        executions.append(simulator.run(initial, max_steps=steps))
+        simulators.setdefault((simulator.engine, trace), simulator)
+    return list(simulators.values())
+
+
+def assert_equivalent_runs(protocol, daemon_name, seed, steps):
+    """Run every distinct engine/trace mode and compare the executions
+    against reference/full (plus a hand-rolled naive loop)."""
+    initial = protocol.random_configuration(random.Random(seed))
+    # The reference engine records full traces regardless of mode.
+    executions = [
+        simulator.run(initial, max_steps=steps)
+        for simulator in distinct_simulators(
+            protocol, DAEMON_FACTORIES[daemon_name], seed
+        )
+    ]
     reference = executions[0]
     for other in executions[1:]:
         assert other.steps == reference.steps
@@ -233,18 +246,13 @@ def test_engines_agree_in_batch_refresh_regime(
     """
     graph = ring_graph(n)
     protocol = PROTOCOL_FACTORIES[protocol_name](graph)
-    daemon_factory = DENSE_DAEMON_FACTORIES[daemon_name]
     initial = protocol.random_configuration(random.Random(seed))
-    executions = []
-    for engine, trace in EQUIVALENCE_MODES:
-        simulator = Simulator(
-            protocol,
-            daemon_factory(),
-            rng=random.Random(seed + 1),
-            engine=engine,
-            trace=trace,
+    executions = [
+        simulator.run(initial, max_steps=steps)
+        for simulator in distinct_simulators(
+            protocol, DENSE_DAEMON_FACTORIES[daemon_name], seed
         )
-        executions.append(simulator.run(initial, max_steps=steps))
+    ]
     reference = executions[0]
     for other in executions[1:]:
         assert other.steps == reference.steps
@@ -268,28 +276,26 @@ def test_engines_agree_with_stop_when(protocol_name, daemon_name, seed, threshol
     graph = ring_graph(6)
     protocol = PROTOCOL_FACTORIES[protocol_name](graph)
     initial = protocol.random_configuration(random.Random(seed))
-    observed = {}
 
-    def runner(engine, trace):
+    def runner(simulator):
         seen = []
 
         def stop_when(configuration, index):
             seen.append(dict(configuration))
             return index >= threshold
 
-        simulator = Simulator(
-            protocol,
-            DAEMON_FACTORIES[daemon_name](),
-            rng=random.Random(seed + 1),
-            engine=engine,
-            trace=trace,
-        )
         execution = simulator.run(initial, max_steps=30, stop_when=stop_when)
         return execution, seen
 
-    reference, seen_reference = runner("reference", "full")
-    for engine in ("incremental", "vector"):
-        light, seen_light = runner(engine, "light")
+    simulators = distinct_simulators(
+        protocol,
+        DAEMON_FACTORIES[daemon_name],
+        seed,
+        modes=(("reference", "full"), ("incremental", "light"), ("vector", "light")),
+    )
+    reference, seen_reference = runner(simulators[0])
+    for simulator in simulators[1:]:
+        light, seen_light = runner(simulator)
         assert seen_light == seen_reference
         assert light.steps == reference.steps
         assert light.truncated == reference.truncated
@@ -343,17 +349,12 @@ def test_vector_kernel_agrees_in_dense_regime(protocol_name, daemon_name, n, see
 
 def assert_equivalent_runs_dense(protocol, daemon_name, seed, steps):
     initial = protocol.random_configuration(random.Random(seed))
-    daemon_factory = DENSE_DAEMON_FACTORIES[daemon_name]
-    executions = []
-    for engine, trace in EQUIVALENCE_MODES:
-        simulator = Simulator(
-            protocol,
-            daemon_factory(),
-            rng=random.Random(seed + 1),
-            engine=engine,
-            trace=trace,
+    executions = [
+        simulator.run(initial, max_steps=steps)
+        for simulator in distinct_simulators(
+            protocol, DENSE_DAEMON_FACTORIES[daemon_name], seed
         )
-        executions.append(simulator.run(initial, max_steps=steps))
+    ]
     reference = executions[0]
     for other in executions[1:]:
         assert other.steps == reference.steps
@@ -418,7 +419,7 @@ class TestVectorBackendSelection:
         self, trace, monkeypatch
     ):
         """An explicit ``engine="vector"`` under the synchronous daemon is
-        the batched superstep loop, and stays equal to the oracle."""
+        the superstep loop, and stays equal to the oracle."""
         calls = {"run_supersteps": 0}
         original = VectorEngine.run_supersteps
 

@@ -1,16 +1,18 @@
-"""Unit tests for the batched superstep execution path.
+"""Unit tests for the superstep execution path of the array backend.
 
 The engine equivalence suite pins the ``vector`` engine — which runs
 supersteps whenever the daemon is synchronous — trace-for-trace against
 the reference engine through the simulator; these tests drive
-:meth:`VectorEngine.run_supersteps` directly at adversarial cadences
-(superstep 1, 3, 5 against traces hundreds of steps long), mostly against
-the reference engine under the synchronous daemon as the oracle, and pin
-the pieces the batched loop adds over a step-by-step run: checkpointed
-replay at non-checkpoint indices, mid-block ``stop_when`` rollback,
-mid-block terminal detection, the fixed-point fast-forward, the
-vectorized sparse guard refresh (subset kernels), in-kernel safety
-monitoring (no replay for a bare ``SafetyMonitor``), and the vectorized
+:meth:`VectorEngine.run_supersteps` directly, with the checkpoint spacing
+monkeypatched to adversarial values (1, 3, 5 against traces hundreds of
+steps long), mostly against the reference engine under the synchronous
+daemon as the oracle.  They pin what the array loop adds over a
+step-by-step run: one kernel firing per step during the run whatever the
+``stop_when`` (each index observed on the loop's own state), checkpointed
+replay at non-checkpoint indices, terminal detection, the fixed-point
+fast-forward, the vectorized sparse guard refresh (subset kernels),
+in-kernel safety monitoring (verdicts from ``safe_rows``, no ``is_safe``
+call, a wrapped predicate called after them), and the vectorized
 privilege fast paths of ``spec_ME``/``spec_AU``.
 """
 
@@ -71,6 +73,11 @@ def _assert_same_trace(actual, expected):
         assert _records(actual, i) == _records(expected, i), i
 
 
+def _space_checkpoints(monkeypatch, spacing):
+    """Checkpoint every ``spacing`` steps in the runs that follow."""
+    monkeypatch.setattr(VectorEngine, "CHECKPOINT_SPACING", spacing)
+
+
 PROTOCOLS = {
     "ssme": lambda: SSME(ring_graph(12)),
     "unison": lambda: AsynchronousUnison(ring_graph(11), validate_parameters=False),
@@ -79,12 +86,13 @@ PROTOCOLS = {
 
 
 @pytest.mark.parametrize("protocol_name", sorted(PROTOCOLS))
-@pytest.mark.parametrize("superstep", [1, 3, 5, 64])
+@pytest.mark.parametrize("spacing", [1, 3, 5, 64])
 @pytest.mark.parametrize("trace", ["full", "light"])
 def test_supersteps_match_single_step_at_every_cadence(
-    protocol_name, superstep, trace
+    protocol_name, spacing, trace, monkeypatch
 ):
-    """Block boundaries at awkward cadences never shift the trace."""
+    """Checkpoints at awkward spacings never shift the replayed trace."""
+    _space_checkpoints(monkeypatch, spacing)
     protocol = PROTOCOLS[protocol_name]()
     initial = protocol.random_configuration(random.Random(7))
     engine = VectorEngine(protocol)
@@ -95,7 +103,6 @@ def test_supersteps_match_single_step_at_every_cadence(
         initial,
         max_steps=200,
         trace=trace,
-        superstep=superstep,
     )
     _assert_same_trace(batched, single)
 
@@ -114,7 +121,6 @@ def test_light_trace_random_access_at_non_checkpoint_indices(trace):
         initial,
         max_steps=150,
         trace=trace,
-        superstep=64,
     )
     for i in (150, 1, 63, 64, 65, 0, 127, 30, 128, 129, 99, 2):
         assert dict(batched.configuration(i)) == dict(oracle.configuration(i)), i
@@ -124,8 +130,10 @@ def test_light_trace_random_access_at_non_checkpoint_indices(trace):
 
 
 @pytest.mark.parametrize("target", [0, 1, 6, 63, 64, 65, 130])
-def test_stop_when_rolls_back_to_the_exact_step(target):
-    """A mid-block trigger keeps exactly the reference engine's prefix."""
+def test_stop_when_keeps_the_exact_prefix(target, monkeypatch):
+    """A trigger between checkpoints keeps exactly the reference engine's
+    prefix, replayed from the checkpoints."""
+    _space_checkpoints(monkeypatch, 4)
     protocol = SSME(ring_graph(10))
     initial = protocol.random_configuration(random.Random(5))
     engine = VectorEngine(protocol)
@@ -151,7 +159,6 @@ def test_stop_when_rolls_back_to_the_exact_step(target):
             initial,
             max_steps=200,
             stop_when=stop_when,
-            superstep=4,
         )
     )
     # The predicate observes the same gapless index sequence...
@@ -170,18 +177,14 @@ def test_supersteps_require_a_synchronous_daemon():
         engine.run_supersteps(
             CentralDaemon(), random.Random(0), initial, max_steps=10
         )
-    with pytest.raises(SimulationError):
-        engine.run_supersteps(
-            SynchronousDaemon(), random.Random(0), initial, max_steps=10, superstep=0
-        )
 
 
 # --------------------------------------------------------------------- #
-# Terminal detection and fixed points inside a block
+# Terminal detection and fixed points
 # --------------------------------------------------------------------- #
 class CountdownProtocol(Protocol):
     """Each vertex counts its own state down to 0, then disables —
-    terminates mid-block after max(initial) steps."""
+    terminates after max(initial) steps, between two checkpoints."""
 
     name = "countdown"
     actions_preserve_validity = True
@@ -261,7 +264,6 @@ def test_terminal_detected_mid_block(trace):
         initial,
         max_steps=500,
         trace=trace,
-        superstep=64,
     )
     assert batched.steps == single.steps == horizon
     assert batched.is_terminal and not batched.truncated
@@ -280,7 +282,6 @@ def test_fixed_point_fast_forwards_the_remaining_budget(trace):
         initial,
         max_steps=300,
         trace=trace,
-        superstep=64,
     )
     assert batched.steps == single.steps == 300
     assert batched.truncated
@@ -424,7 +425,7 @@ def test_privileged_count_array_matches_python(factory):
 
 
 # --------------------------------------------------------------------- #
-# In-kernel safety monitoring: a bare SafetyMonitor is never replayed
+# In-kernel safety monitoring: a SafetyMonitor is never replayed
 # --------------------------------------------------------------------- #
 MONITORED_SPECS = {
     "ssme": lambda p: [MutualExclusionSpec(p), AsynchronousUnisonSpec(p)],
@@ -477,7 +478,7 @@ def _reference_summary(protocol_name, protocol, initial, max_steps, trace):
     return _monitor_summary(monitor, specs, execution), execution
 
 
-def _superstep_summary(protocol_name, protocol, initial, max_steps, trace, superstep):
+def _superstep_summary(protocol_name, protocol, initial, max_steps, trace):
     specs = MONITORED_SPECS[protocol_name](protocol)
     _no_python_checks(specs)
     monitor = SafetyMonitor(specs, protocol)
@@ -485,25 +486,27 @@ def _superstep_summary(protocol_name, protocol, initial, max_steps, trace, super
     fire = _CountingFire(engine._kernel)
     execution = engine.run_supersteps(
         SynchronousDaemon(), random.Random(0), initial, max_steps=max_steps,
-        stop_when=monitor.observe, trace=trace, superstep=superstep,
+        stop_when=monitor.observe, trace=trace,
     )
-    # Counted before any trace access, which may replay legitimately; a
-    # full trace rebuilds its configurations by one replay after the run.
-    assert fire.calls == execution.steps * (2 if trace == "full" else 1)
+    # Counted before any trace access, which may replay legitimately: the
+    # run itself fires once per step in both trace modes.
+    fired = fire.calls
+    assert fired == execution.steps
     return _monitor_summary(monitor, specs, execution), execution
 
 
 @pytest.mark.parametrize("protocol_name", sorted(PROTOCOLS))
-@pytest.mark.parametrize("superstep", [1, 3, 5, 64])
+@pytest.mark.parametrize("spacing", [1, 3, 5, 64])
 @pytest.mark.parametrize("trace", ["full", "light"])
 def test_in_kernel_monitoring_matches_the_reference_engine(
-    protocol_name, superstep, trace
+    protocol_name, spacing, trace, monkeypatch
 ):
     """First/last unsafe indices and stabilization indices of monitor-only
     superstep runs equal the reference engine's, with no replay and no
     per-configuration ``is_safe`` call.  The full-horizon run starts
     unsafe (index 0); the run cut one step before stabilization ends
     unsafe (stabilization index None)."""
+    _space_checkpoints(monkeypatch, spacing)
     protocol = PROTOCOLS[protocol_name]()
     initial = protocol.random_configuration(random.Random(7))
     expected, reference = _reference_summary(
@@ -517,23 +520,24 @@ def test_in_kernel_monitoring_matches_the_reference_engine(
     assert any(index is None for _first, _last, index in expected_cut)
 
     actual, execution = _superstep_summary(
-        protocol_name, protocol, initial, 200, trace, superstep
+        protocol_name, protocol, initial, 200, trace
     )
     assert actual == expected
     _assert_same_trace(execution, reference)
     actual_cut, _ = _superstep_summary(
-        protocol_name, protocol, initial, cut, trace, superstep
+        protocol_name, protocol, initial, cut, trace
     )
     assert actual_cut == expected_cut
 
 
-def test_in_kernel_monitoring_of_an_immediate_double_privilege():
+def test_in_kernel_monitoring_of_an_immediate_double_privilege(monkeypatch):
     """Theorem 2's witness: spec_ME is violated at index 0 and restored
     within ceil(diam/2) synchronous steps."""
     protocol = SSME(ring_graph(12))
     initial = immediate_double_privilege_configuration(protocol, pair=(0, 6))
     expected, _ = _reference_summary("ssme", protocol, initial, 40, "light")
-    actual, _ = _superstep_summary("ssme", protocol, initial, 40, "light", 4)
+    _space_checkpoints(monkeypatch, 4)
+    actual, _ = _superstep_summary("ssme", protocol, initial, 40, "light")
     assert actual == expected
     first, _last, stabilization = actual[0]
     assert first == 0
@@ -549,17 +553,18 @@ class _ScalarOnlySpec(MutualExclusionSpec):
 
 @pytest.mark.parametrize("trace", ["full", "light"])
 @pytest.mark.parametrize("case", ["wrapped-stop-when", "no-safe-rows"])
-def test_replay_path_is_kept_for_other_monitors(case, trace):
+def test_other_monitors_fire_once_per_step(case, trace, monkeypatch):
     """A monitor wrapping a predicate, or monitoring a specification
-    without ``safe_rows``, still replays every block (two firings per
-    step) and reports exactly what the in-kernel path reports."""
+    without ``safe_rows``, fires the kernel once per step like a bare
+    monitor and reports exactly what the in-kernel path reports."""
+    _space_checkpoints(monkeypatch, 5)
     protocol = SSME(ring_graph(10))
     initial = protocol.random_configuration(random.Random(5))
     reference = MutualExclusionSpec(protocol)
     reference_monitor = SafetyMonitor([reference], protocol)
     VectorEngine(protocol).run_supersteps(
         SynchronousDaemon(), random.Random(0), initial, max_steps=150,
-        stop_when=reference_monitor.observe, trace=trace, superstep=5,
+        stop_when=reference_monitor.observe, trace=trace,
     )
 
     seen = []
@@ -578,17 +583,123 @@ def test_replay_path_is_kept_for_other_monitors(case, trace):
     fire = _CountingFire(engine._kernel)
     execution = engine.run_supersteps(
         SynchronousDaemon(), random.Random(0), initial, max_steps=150,
-        stop_when=monitor.observe, trace=trace, superstep=5,
+        stop_when=monitor.observe, trace=trace,
     )
-    # More firings than the run (plus a full trace's rebuild) needs: the
-    # monitor's scanner replayed the blocks.
-    assert fire.calls > execution.steps * (2 if trace == "full" else 1)
-    assert execution.steps == 150
+    assert fire.calls == execution.steps == 150
     if case == "wrapped-stop-when":
         assert seen == list(range(151))
     assert monitor.observed_steps == reference_monitor.observed_steps == 150
     for query in ("first_unsafe_index", "last_unsafe_index", "stabilization_index"):
         assert getattr(monitor, query)(spec) == getattr(reference_monitor, query)(reference)
+
+
+def _stop_when_of(kind, protocol, target):
+    """A fresh ``stop_when`` of one kind, stopping at index ``target`` (or
+    never, when None) where the kind can stop a run."""
+    def predicate(configuration, index):
+        return target is not None and index >= target
+
+    if kind == "none":
+        return None
+    if kind == "predicate":
+        return predicate
+    if kind == "scalar-only-monitor":
+        return SafetyMonitor([_ScalarOnlySpec(protocol)], protocol).observe
+    wrapped = predicate if kind == "wrapped-monitor" else None
+    return SafetyMonitor(
+        [MutualExclusionSpec(protocol)], protocol, stop_when=wrapped
+    ).observe
+
+
+STOP_WHEN_KINDS = [
+    "none", "bare-monitor", "wrapped-monitor", "scalar-only-monitor", "predicate"
+]
+
+
+@pytest.mark.parametrize("trace", ["full", "light"])
+@pytest.mark.parametrize("kind", STOP_WHEN_KINDS)
+def test_kernel_fires_once_per_step_for_every_stop_when(kind, trace, monkeypatch):
+    """Before any trace read, a run fires the kernel exactly once per
+    step, whatever observes it: no second cursor, no post-run replay.
+    Predicates that can stop the run stop it at index 97."""
+    _space_checkpoints(monkeypatch, 5)
+    protocol = SSME(ring_graph(10))
+    initial = protocol.random_configuration(random.Random(5))
+    stop_when = _stop_when_of(kind, protocol, 97)
+    engine = VectorEngine(protocol)
+    fire = _CountingFire(engine._kernel)
+    execution = engine.run_supersteps(
+        SynchronousDaemon(), random.Random(0), initial, max_steps=150,
+        stop_when=stop_when, trace=trace,
+    )
+    fired = fire.calls
+    stops = kind in ("wrapped-monitor", "predicate")
+    assert execution.steps == (97 if stops else 150)
+    assert fired == execution.steps
+    reference = _reference_run(
+        protocol, initial, 150, trace, stop_when=_stop_when_of(kind, protocol, 97)
+    )
+    _assert_same_trace(execution, reference)
+
+
+@pytest.mark.parametrize("trace", ["full", "light"])
+def test_fixed_point_fires_once_in_total(trace):
+    """A fixed point fast-forwards a large budget after its one firing,
+    full traces included (their configurations are shared, not decoded)."""
+    protocol = StutterProtocol(ring_graph(64))
+    initial = protocol.random_configuration(random.Random(2))
+    engine = VectorEngine(protocol)
+    fire = _CountingFire(engine._kernel)
+    execution = engine.run_supersteps(
+        SynchronousDaemon(), random.Random(0), initial, max_steps=100_000, trace=trace,
+    )
+    assert fire.calls == 1
+    assert execution.steps == 100_000 and execution.truncated
+    for i in (0, 1, 99_999, 100_000):
+        assert dict(execution.configuration(i)) == dict(initial)
+
+
+@pytest.mark.parametrize("trace", ["full", "light"])
+@pytest.mark.parametrize("target", [None, 0, 5, 37], ids=["never", "0", "5", "37"])
+def test_wrapped_monitor_predicate_sees_in_kernel_verdicts(target, trace):
+    """A monitor wrapping a predicate stays in-kernel: no ``is_safe``
+    call, and its predicate sees indices 0..steps in order with the
+    reference engine's ``is_currently_safe`` at each; stopping at
+    ``target`` keeps the reference engine's prefix."""
+    protocol = SSME(ring_graph(12))
+    initial = immediate_double_privilege_configuration(protocol, pair=(0, 6))
+
+    def observed_run(run, no_python_checks):
+        spec = MutualExclusionSpec(protocol)
+        if no_python_checks:
+            _no_python_checks([spec])
+        seen = []
+
+        def predicate(configuration, index):
+            seen.append((index, monitor.is_currently_safe(spec)))
+            return target is not None and index >= target
+
+        monitor = SafetyMonitor([spec], protocol, stop_when=predicate)
+        return run(monitor.observe), seen
+
+    reference, expected = observed_run(
+        lambda stop_when: _reference_run(protocol, initial, 60, trace, stop_when),
+        no_python_checks=False,
+    )
+    execution, seen = observed_run(
+        lambda stop_when: VectorEngine(protocol).run_supersteps(
+            SynchronousDaemon(), random.Random(0), initial, max_steps=60,
+            stop_when=stop_when, trace=trace,
+        ),
+        no_python_checks=True,
+    )
+    assert [index for index, _safe in seen] == list(range(execution.steps + 1))
+    assert seen == expected
+    assert seen[0] == (0, False)
+    if target is None:
+        assert seen[-1] == (60, True)
+    assert execution.steps == (60 if target is None else target)
+    _assert_same_trace(execution, reference)
 
 
 def test_observe_verdicts_keeps_the_gapless_index_contract():
@@ -661,10 +772,13 @@ def _recorded_enabled(execution):
 @pytest.mark.parametrize("protocol_name", sorted(PROTOCOLS))
 @pytest.mark.parametrize("trace", ["full", "light"])
 @pytest.mark.parametrize("stop_at", [None, 0, 37], ids=["no-stop", "stop-0", "stop-37"])
-def test_lazy_enabled_sets_match_the_reference_engine(protocol_name, trace, stop_at):
+def test_lazy_enabled_sets_match_the_reference_engine(
+    protocol_name, trace, stop_at, monkeypatch
+):
     """Every recorded enabled set and selection of a superstep run equals
-    the reference engine's, with and without a replayed ``stop_when``
-    (whose trigger rolls the position log back to the kept prefix)."""
+    the reference engine's, with and without a ``stop_when`` (whose
+    trigger ends the position log at the kept prefix)."""
+    _space_checkpoints(monkeypatch, 8)
     protocol = PROTOCOLS[protocol_name]()
     initial = protocol.random_configuration(random.Random(11))
     stop_when = None if stop_at is None else (lambda c, i: i >= stop_at)
@@ -674,7 +788,7 @@ def test_lazy_enabled_sets_match_the_reference_engine(protocol_name, trace, stop
     ).run(initial, max_steps=150, stop_when=stop_when)
     batched = VectorEngine(protocol).run_supersteps(
         SynchronousDaemon(), random.Random(0), initial, max_steps=150,
-        stop_when=stop_when, trace=trace, superstep=8,
+        stop_when=stop_when, trace=trace,
     )
     assert isinstance(batched._enabled_sets, LazyEnabledSets)
     assert isinstance(batched._selections, LazyEnabledSets)
@@ -692,7 +806,7 @@ def test_fixed_point_fast_forward_shares_one_enabled_set():
     protocol = StutterProtocol(ring_graph(6))
     initial = protocol.random_configuration(random.Random(2))
     execution = VectorEngine(protocol).run_supersteps(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=300, superstep=64,
+        SynchronousDaemon(), random.Random(0), initial, max_steps=300,
     )
     enabled = execution._enabled_sets
     assert enabled.materialized_count == 0
@@ -709,15 +823,18 @@ def test_fixed_point_fast_forward_shares_one_enabled_set():
 
 @pytest.mark.parametrize("protocol_name", sorted(PROTOCOLS))
 @pytest.mark.parametrize("trace", ["full", "light"])
-def test_lazy_enabled_sets_prefix_suffix_and_rounds_match_eager(protocol_name, trace):
+def test_lazy_enabled_sets_prefix_suffix_and_rounds_match_eager(
+    protocol_name, trace, monkeypatch
+):
     """``prefix``/``suffix`` keep the lazy log and agree with an execution
     built from the same sets as plain lists; ``count_rounds`` builds each
     distinct set at most once."""
+    _space_checkpoints(monkeypatch, 16)
     protocol = PROTOCOLS[protocol_name]()
     initial = protocol.random_configuration(random.Random(4))
     lazy = VectorEngine(protocol).run_supersteps(
         SynchronousDaemon(), random.Random(0), initial, max_steps=120,
-        trace=trace, superstep=16,
+        trace=trace,
     )
     positions = lazy._enabled_sets._positions
     distinct = len({id(p) for p in positions})
@@ -766,9 +883,10 @@ def test_superstep_round_count_replays_no_kernel_step(monkeypatch):
         return fire(self, *args)
 
     monkeypatch.setattr(kernel_class, "fire", counting)
+    _space_checkpoints(monkeypatch, 16)
     execution = VectorEngine(protocol).run_supersteps(
         SynchronousDaemon(), random.Random(0), initial, max_steps=200,
-        trace="light", superstep=16,
+        trace="light",
     )
     fired_during_run = len(calls)
     assert fired_during_run == execution.steps == reference.steps
@@ -938,9 +1056,10 @@ def test_forced_branches_replay_the_same_run(protocol_name, dense, monkeypatch):
     engine = VectorEngine(protocol)
     single = _reference_run(protocol, initial, max_steps=120, trace="light")
     _force_dense(monkeypatch, dense)
+    _space_checkpoints(monkeypatch, 16)
     batched = engine.run_supersteps(
         SynchronousDaemon(), random.Random(0), initial, max_steps=120,
-        trace="light", superstep=16,
+        trace="light",
     )
     recorded = batched._enabled_sets._positions
     assert all((r.dtype == bool) == dense for r in recorded)
@@ -982,14 +1101,17 @@ def test_steady_state_unison_records_one_shared_mask():
 
 @pytest.mark.parametrize("protocol_name", sorted(BRANCH_PROTOCOLS))
 @pytest.mark.parametrize("trace", ["full", "light"])
-def test_replayed_actions_after_dense_steps_match_single_step(protocol_name, trace):
+def test_replayed_actions_after_dense_steps_match_single_step(
+    protocol_name, trace, monkeypatch
+):
+    _space_checkpoints(monkeypatch, 7)
     protocol = BRANCH_PROTOCOLS[protocol_name]()
     initial = protocol.random_configuration(random.Random(8))
     engine = VectorEngine(protocol)
     single = _reference_run(protocol, initial, max_steps=90, trace=trace)
     batched = engine.run_supersteps(
         SynchronousDaemon(), random.Random(0), initial, max_steps=90,
-        trace=trace, superstep=7,
+        trace=trace,
     )
     assert any(r.dtype == bool for r in batched._enabled_sets._positions)
     _assert_same_trace(batched, single)
