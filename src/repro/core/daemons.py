@@ -32,8 +32,9 @@ from abc import ABC, abstractmethod
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import DaemonError
-from ..types import VertexId
+from ..types import VertexId, VertexStateLike
 from .protocol import Protocol
+from .rules import LocalView, Rule
 from .state import Configuration
 
 __all__ = [
@@ -371,6 +372,28 @@ class AdversarialCentralDaemon(Daemon):
     long as possible is a standard way to realize slow executions of
     unison-style protocols, and empirically dominates random central
     scheduling in our Theorem 3 experiment.
+
+    **Local lookahead, memoised.**  Activating ``v`` alone changes only
+    ``v``'s state, so only ``v`` and its neighbours can change enabledness:
+    the successor has ``|enabled| + local(v)`` enabled vertices, where
+    ``local(v)`` counts the vertices of ``N[v]`` enabled after ``v`` fires
+    minus those enabled now.  Guards read closed neighbourhoods only (the
+    locality of the state model, assumed of every protocol scheduled by
+    this daemon, custom ``is_enabled`` overrides included), so ``local(v)``
+    is a function of the states within distance 2 of ``v``.  The daemon
+    keeps ``local(v)`` across calls: each call compares every vertex's
+    state with the states seen at the previous call (O(n), so it needs
+    nothing from the engine and stays exact under live views, faults
+    injected between segments and any engine) and drops the entries in the
+    2-ball of each changed vertex.  A central step changes one vertex, so
+    most candidates are re-scored from the memo.  Misses fire ``v`` on its
+    :class:`~repro.core.rules.LocalView` (``choose_rule`` and
+    ``validate_state`` exactly as :meth:`Protocol.apply` calls them) and
+    re-evaluate the guards of ``N[v]`` with ``v``'s new state, copying no
+    configuration; protocols overriding the transition chain
+    (``has_stock_transitions()`` false) score misses through their own
+    ``apply``/``is_enabled``.  :meth:`bind` and :meth:`reset` clear the
+    memo.
     """
 
     name = "cd-adv"
@@ -378,9 +401,93 @@ class AdversarialCentralDaemon(Daemon):
     def __init__(self) -> None:
         super().__init__()
         self._last_activated: Dict[VertexId, int] = {}
+        # Per bound protocol, built on first use: neighbour tuples, 2-balls
+        # and whether misses may be scored on local views.
+        self._neighbors: Optional[Dict[VertexId, Tuple[VertexId, ...]]] = None
+        self._two_balls: Dict[VertexId, FrozenSet[VertexId]] = {}
+        self._stock_transitions = False
+        self._forget()
+
+    def _forget(self) -> None:
+        self._local: Dict[VertexId, int] = {}
+        self._seen: Optional[Dict[VertexId, VertexStateLike]] = None
+
+    def bind(self, protocol: Protocol) -> None:
+        super().bind(protocol)
+        self._neighbors = None
+        self._forget()
 
     def reset(self) -> None:
         self._last_activated = {}
+        self._forget()
+
+    def _prepare(self, protocol: Protocol) -> None:
+        graph = protocol.graph
+        neighbors = {v: tuple(graph.neighbors(v)) for v in graph.vertices}
+        self._neighbors = neighbors
+        self._two_balls = {
+            v: frozenset((v,) + around).union(*(neighbors[u] for u in around))
+            for v, around in neighbors.items()
+        }
+        self._stock_transitions = protocol.has_stock_transitions()
+
+    def _invalidate(self, states: Dict[VertexId, VertexStateLike]) -> None:
+        """Drop the memo entries near every vertex changed since last call."""
+        seen, self._seen = self._seen, states
+        local = self._local
+        if seen is None or not local or states == seen:
+            return
+        two_balls = self._two_balls
+        for vertex, state in states.items():
+            if seen[vertex] != state:
+                for u in two_balls[vertex]:
+                    local.pop(u, None)
+
+    def _local_delta(
+        self,
+        vertex: VertexId,
+        enabled: FrozenSet[VertexId],
+        states: Dict[VertexId, VertexStateLike],
+        configuration: Configuration,
+        rules: Optional[Sequence[Rule]],
+    ) -> int:
+        """``local(vertex)``: the change in enabled count inside ``N[vertex]``
+        when ``vertex`` alone fires (``rules`` None: through the protocol's
+        own ``apply``/``is_enabled``)."""
+        protocol = self._protocol
+        neighbors = self._neighbors
+        around = neighbors[vertex]
+        before = len(enabled.intersection((vertex,) + around))
+        if rules is None:
+            next_config, _ = protocol.apply(configuration, [vertex])
+            after = sum(
+                1 for w in (vertex,) + around if protocol.is_enabled(next_config, w)
+            )
+            return after - before
+        graph = protocol.graph
+        view = LocalView._from_trusted_parts(
+            vertex, states[vertex], {u: states[u] for u in around}, graph
+        )
+        enabled_rules = [rule for rule in rules if rule.guard(view)]
+        if enabled_rules:
+            new_state = protocol.choose_rule(enabled_rules, view).apply(view)
+            protocol.validate_state(vertex, new_state)
+        else:
+            new_state = view.state
+        # ``vertex``'s neighbours keep their states, so its own successor
+        # view shares the neighbour dict of the view it fired on.
+        views = [LocalView._from_trusted_parts(vertex, new_state, view.neighbor_states, graph)]
+        for w in around:
+            w_states = {u: states[u] for u in neighbors[w]}
+            w_states[vertex] = new_state
+            views.append(LocalView._from_trusted_parts(w, states[w], w_states, graph))
+        after = 0
+        for w_view in views:
+            for rule in rules:
+                if rule.guard(w_view):
+                    after += 1
+                    break
+        return after - before
 
     def select(
         self,
@@ -389,43 +496,35 @@ class AdversarialCentralDaemon(Daemon):
         step_index: int,
         rng: random.Random,
     ) -> FrozenSet[VertexId]:
-        if self._protocol is None:
-            raise DaemonError("adversarial daemon requires a bound protocol")
         protocol = self._protocol
-        graph = protocol.graph
-        # Reuse one rules lookup across the lookahead only when the protocol
-        # keeps the stock enabledness chain; custom chains must be honoured.
-        stock_enabledness = protocol.has_stock_enabledness()
-        rules = protocol.rules() if stock_enabledness else None
+        if protocol is None:
+            raise DaemonError("adversarial daemon requires a bound protocol")
+        if self._neighbors is None:
+            self._prepare(protocol)
+        states = configuration.as_dict()
+        self._invalidate(states)
+        local = self._local
+        rules = protocol.rules() if self._stock_transitions else None
+        last_activated = self._last_activated
         best_vertex = None
-        best_key: Optional[Tuple[int, int, str]] = None
+        best_key: Optional[Tuple[int, int]] = None
+        # ``enabled_after = |enabled| + local(vertex)``: the first term is
+        # common to every candidate.  Candidates come in repr order and
+        # only a strictly smaller key replaces the best, so the final
+        # ``repr(vertex)`` tie-break needs no key slot.
         for vertex in self._ordered_enabled(enabled):
-            next_config, _ = protocol.apply(configuration, [vertex])
-            # Activating a single vertex can only change the enabledness of
-            # that vertex and its neighbours, so the successor's enabled
-            # count is computed from the current one by a local delta.
-            closed_neighborhood = set(graph.neighbors(vertex)) | {vertex}
-            enabled_after = len(enabled - closed_neighborhood)
-            if stock_enabledness:
-                enabled_after += sum(
-                    1
-                    for w in closed_neighborhood
-                    if protocol.evaluate(next_config, w, rules)[1]
+            delta = local.get(vertex)
+            if delta is None:
+                delta = local[vertex] = self._local_delta(
+                    vertex, enabled, states, configuration, rules
                 )
-            else:
-                enabled_after += sum(
-                    1
-                    for w in closed_neighborhood
-                    if protocol.is_enabled(next_config, w)
-                )
-            recency = self._last_activated.get(vertex, -1)
             # Maximize enabled_after, then prefer least recently activated.
-            key = (-enabled_after, recency, repr(vertex))
+            key = (-delta, last_activated.get(vertex, -1))
             if best_key is None or key < best_key:
                 best_key = key
                 best_vertex = vertex
         assert best_vertex is not None
-        self._last_activated[best_vertex] = step_index
+        last_activated[best_vertex] = step_index
         return frozenset({best_vertex})
 
     def admits_selection(

@@ -1174,7 +1174,9 @@ class VectorEngine:
           ends the run (``truncated=False``), and a fixed point (enabled
           vertices whose firing changes nothing) fast-forwards the
           remaining budget without further kernel work when no
-          ``stop_when`` needs per-index evaluation.
+          ``stop_when`` needs per-index evaluation; a bare in-kernel
+          monitor records its unchanged verdicts for every remaining
+          index at once.
         """
         if not daemon.synchronous:
             raise SimulationError(
@@ -1243,10 +1245,14 @@ class VectorEngine:
                     current = Configuration._from_trusted_dict(
                         dict(zip(vertices, codec.decode(states)))
                     )
-            elif stop_when is None:
+            elif predicate is None:
                 # Fixed point: enabled vertices whose firing changes nothing.
                 # Every remaining step is this exact step — record it
-                # wholesale instead of spinning the kernel.
+                # wholesale instead of spinning the kernel.  A bare
+                # in-kernel monitor would see the same verdicts at every
+                # remaining index, so it records them in one call.
+                if monitor is not None:
+                    monitor.observe_verdicts(verdicts, steps, through=max_steps)
                 checkpoints[steps] = states.copy()
                 remaining = max_steps - steps
                 enabled_log.extend([enabled] * (remaining + 1))

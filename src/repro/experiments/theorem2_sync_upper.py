@@ -349,10 +349,10 @@ def _aggregate(
             "Under the synchronous daemon executions are deterministic, so the "
             "measured value is exact for the horizon (one clock period).",
             f"Rows with n > {LARGE_N} run the safety-only large-n regime on "
-            "the batched superstep backend: trusted closed-form diameter, "
-            "analytic ball-planting witnesses (same measured tightness as "
-            "the spliced construction), horizon of a few Theorem 2 bounds, "
-            "liveness window skipped.",
+            "the synchronous array (superstep) backend: trusted closed-form "
+            "diameter, analytic ball-planting witnesses (same measured "
+            "tightness as the spliced construction), horizon of a few "
+            "Theorem 2 bounds, liveness window skipped.",
         ],
     )
 

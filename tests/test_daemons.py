@@ -9,16 +9,19 @@ import pytest
 from repro.core import (
     AdversarialCentralDaemon,
     CentralDaemon,
+    Daemon,
     DistributedDaemon,
     LocallyCentralDaemon,
     RoundRobinCentralDaemon,
+    Simulator,
     StarvationDaemon,
     SynchronousDaemon,
     is_weaker_than,
     make_daemon,
 )
 from repro.exceptions import DaemonError
-from repro.graphs import ring_graph
+from repro.graphs import make_topology, ring_graph
+from repro.mutex import SSME, DijkstraTokenRing
 from repro.unison import AsynchronousUnison
 
 
@@ -147,6 +150,154 @@ class TestAdversarialDaemons:
         gamma = protocol.random_configuration(random.Random(1))
         selection = daemon.select(frozenset({0}), gamma, 0, random.Random(0))
         assert selection == frozenset({0})
+
+
+def _lookahead_scores(protocol, enabled, configuration):
+    """``enabled_after`` of every candidate by the un-memoised lookahead:
+    fire it alone on a copy of the configuration, count the successor's
+    enabled vertices through ``is_enabled``."""
+    graph = protocol.graph
+    scores = {}
+    for vertex in enabled:
+        next_config, _ = protocol.apply(configuration, [vertex])
+        closed = set(graph.neighbors(vertex)) | {vertex}
+        scores[vertex] = len(enabled - closed) + sum(
+            1 for w in closed if protocol.is_enabled(next_config, w)
+        )
+    return scores
+
+
+class _LookaheadOracle(Daemon):
+    """The adversarial central daemon with no memo: the oracle the
+    memoised :class:`AdversarialCentralDaemon` must match step for step."""
+
+    name = "cd-adv-oracle"
+
+    def __init__(self):
+        super().__init__()
+        self._last_activated = {}
+
+    def reset(self):
+        self._last_activated = {}
+
+    def select(self, enabled, configuration, step_index, rng):
+        scores = _lookahead_scores(self.protocol, enabled, configuration)
+        best = min(
+            enabled,
+            key=lambda v: (-scores[v], self._last_activated.get(v, -1), repr(v)),
+        )
+        self._last_activated[best] = step_index
+        return frozenset({best})
+
+
+class _EvenClockSSME(SSME):
+    """SSME whose vertex 0 moves only from an even clock value: a local
+    ``is_enabled`` override, which takes the protocol off the stock
+    transitions."""
+
+    def is_enabled(self, configuration, vertex):
+        return super().is_enabled(configuration, vertex) and (
+            vertex != 0 or configuration[vertex] % 2 == 0
+        )
+
+
+_LOOKAHEAD_CASES = {
+    "ssme-ring12": lambda: SSME(make_topology("ring", 12)),
+    "ssme-grid9": lambda: SSME(make_topology("grid", 9)),
+    "ssme-star6": lambda: SSME(make_topology("star", 6)),
+    "dijkstra-ring12": lambda: DijkstraTokenRing(ring_graph(12)),
+    "unison-path6": lambda: AsynchronousUnison(make_topology("path", 6)),
+    "even-clock-ssme-ring12": lambda: _EvenClockSSME(ring_graph(12)),
+}
+
+
+def _run_selections(simulator, initial):
+    execution = simulator.run(initial, max_steps=150)
+    return [execution.selection(i) for i in range(execution.steps)]
+
+
+def _selections(protocol, daemon, initial, engine="reference", trace="full"):
+    simulator = Simulator(protocol, daemon, rng=random.Random(0), engine=engine, trace=trace)
+    return _run_selections(simulator, initial)
+
+
+class TestAdversarialLookaheadMemo:
+    """The memoised lookahead selects exactly what the un-memoised one
+    selects, at every step, whatever the engine, trace mode or history."""
+
+    @pytest.mark.parametrize("trace", ["full", "light"])
+    @pytest.mark.parametrize("engine", ["reference", "incremental"])
+    @pytest.mark.parametrize("case", sorted(_LOOKAHEAD_CASES))
+    def test_every_selection_matches_the_oracle(self, case, engine, trace):
+        protocol = _LOOKAHEAD_CASES[case]()
+        initial = protocol.random_configuration(random.Random(1))
+        expected = _selections(protocol, _LookaheadOracle(), initial)
+        actual = _selections(protocol, AdversarialCentralDaemon(), initial, engine, trace)
+        assert len(expected) > 20
+        assert actual == expected
+
+    def test_is_enabled_override_changes_the_schedule(self):
+        """The ``is_enabled`` override is honoured: ignoring it (plain
+        SSME) schedules differently from the same configuration."""
+        overridden = _LOOKAHEAD_CASES["even-clock-ssme-ring12"]()
+        plain = SSME(ring_graph(12))
+        initial = overridden.random_configuration(random.Random(1))
+        assert _selections(overridden, AdversarialCentralDaemon(), initial) != _selections(
+            plain, AdversarialCentralDaemon(), initial
+        )
+
+    @pytest.mark.parametrize("trace", ["full", "light"])
+    def test_one_daemon_reused_across_runs_and_protocols(self, trace):
+        daemon = AdversarialCentralDaemon()
+        protocol = SSME(ring_graph(12))
+        simulator = Simulator(
+            protocol, daemon, rng=random.Random(0), engine="incremental", trace=trace
+        )
+        for seed in (4, 5):
+            initial = protocol.random_configuration(random.Random(seed))
+            expected = _selections(protocol, _LookaheadOracle(), initial)
+            assert _run_selections(simulator, initial) == expected
+        # Rebinding to another protocol on another graph starts afresh.
+        other = SSME(make_topology("grid", 9))
+        initial = other.random_configuration(random.Random(6))
+        assert _selections(other, daemon, initial, "incremental", trace) == _selections(
+            other, _LookaheadOracle(), initial
+        )
+
+    def test_a_far_state_change_is_rescored(self):
+        """A state written between two calls (a fault, not a firing) is
+        seen: the second call matches a fresh oracle, including where the
+        scores of the first call would pick another vertex."""
+        protocol = SSME(ring_graph(12))
+        graph = protocol.graph
+        first = protocol.random_configuration(random.Random(7))
+        enabled = protocol.enabled_vertices(first)
+        rng = random.Random(0)
+        stale_scores = _lookahead_scores(protocol, enabled, first)
+        changed_winner = 0
+        for far in graph.vertices:
+            for state in protocol.vertex_state_space(far)[::7]:
+                daemon, oracle = AdversarialCentralDaemon(), _LookaheadOracle()
+                daemon.bind(protocol)
+                oracle.bind(protocol)
+                chosen = daemon.select(enabled, first, 0, rng)
+                assert chosen == oracle.select(enabled, first, 0, rng)
+                (fired,) = chosen
+                if far in graph.ball(fired, 1) or state == first[far]:
+                    continue
+                second = first.updated({far: state})
+                second_enabled = protocol.enabled_vertices(second)
+                expected = oracle.select(second_enabled, second, 1, rng)
+                assert daemon.select(second_enabled, second, 1, rng) == expected
+                # The first call's scores on the second enabled set; only
+                # ``fired`` has been activated, so it loses recency ties.
+                stale = min(
+                    second_enabled & set(stale_scores),
+                    key=lambda v: (-stale_scores[v], v == fired, repr(v)),
+                    default=None,
+                )
+                changed_winner += stale is not None and frozenset({stale}) != expected
+        assert changed_winner > 0
 
 
 class TestCheckedSelect:

@@ -36,6 +36,7 @@ from repro.core import (
     Rule,
     SafetyMonitor,
     Simulator,
+    Specification,
     SynchronousDaemon,
     VectorEngine,
     measure_stabilization,
@@ -657,6 +658,65 @@ def test_fixed_point_fires_once_in_total(trace):
     assert execution.steps == 100_000 and execution.truncated
     for i in (0, 1, 99_999, 100_000):
         assert dict(execution.configuration(i)) == dict(initial)
+
+
+class _ConstantSpec(Specification):
+    """Safe in every configuration, or in none; judged in-kernel too."""
+
+    def __init__(self, safe):
+        self.safe = safe
+        self.name = "always-safe" if safe else "never-safe"
+
+    def is_safe(self, configuration, protocol):
+        return self.safe
+
+    def safe_rows(self, rows, order, protocol):
+        return np.full(len(rows), self.safe)
+
+
+@pytest.mark.parametrize("trace", ["full", "light"])
+def test_fixed_point_fast_forwards_a_bare_monitor(trace):
+    """A bare in-kernel monitor keeps the fixed-point fast-forward: one
+    firing whatever the budget, and the monitor reads as if it had seen
+    the repeated configuration at every remaining index."""
+    protocol = StutterProtocol(ring_graph(64))
+    initial = protocol.random_configuration(random.Random(2))
+
+    def monitored(run, budget, no_python_checks):
+        specs = [_ConstantSpec(True), _ConstantSpec(False)]
+        if no_python_checks:
+            _no_python_checks(specs)
+        monitor = SafetyMonitor(specs, protocol)
+        execution = run(monitor.observe, budget)
+        assert execution.steps == budget and execution.truncated
+        return [monitor.observed_steps] + [
+            (
+                monitor.first_unsafe_index(spec),
+                monitor.last_unsafe_index(spec),
+                monitor.stabilization_index(spec),
+            )
+            for spec in specs
+        ]
+
+    def superstep_run(stop_when, budget):
+        engine = VectorEngine(protocol)
+        fire = _CountingFire(engine._kernel)
+        execution = engine.run_supersteps(
+            SynchronousDaemon(), random.Random(0), initial, max_steps=budget,
+            stop_when=stop_when, trace=trace,
+        )
+        assert fire.calls == 1
+        return execution
+
+    def reference_run(stop_when, budget):
+        return _reference_run(protocol, initial, budget, trace, stop_when)
+
+    expected = monitored(reference_run, 300, no_python_checks=False)
+    assert expected == [300, (None, None, 0), (0, 300, None)]
+    assert monitored(superstep_run, 300, no_python_checks=True) == expected
+    assert monitored(superstep_run, 100_000, no_python_checks=True) == [
+        100_000, (None, None, 0), (0, 100_000, None)
+    ]
 
 
 @pytest.mark.parametrize("trace", ["full", "light"])
