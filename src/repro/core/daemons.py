@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import DaemonError
 from ..types import VertexId, VertexStateLike
@@ -389,8 +389,9 @@ class AdversarialCentralDaemon(Daemon):
     most candidates are re-scored from the memo.  Misses fire ``v`` on its
     :class:`~repro.core.rules.LocalView` (``choose_rule`` and
     ``validate_state`` exactly as :meth:`Protocol.apply` calls them) and
-    re-evaluate the guards of ``N[v]`` with ``v``'s new state, copying no
-    configuration; protocols overriding the transition chain
+    re-evaluate the guards of ``N[v]`` with ``v``'s new state (through a
+    rule's own ``is_enabled`` where a :class:`~repro.core.rules.Rule`
+    subclass overrides it), copying no configuration; protocols overriding the transition chain
     (``has_stock_transitions()`` false) score misses through their own
     ``apply``/``is_enabled``.  :meth:`bind` and :meth:`reset` clear the
     memo.
@@ -449,16 +450,16 @@ class AdversarialCentralDaemon(Daemon):
         enabled: FrozenSet[VertexId],
         states: Dict[VertexId, VertexStateLike],
         configuration: Configuration,
-        rules: Optional[Sequence[Rule]],
+        guards: Optional[Sequence[Tuple[Rule, Callable[[LocalView], object]]]],
     ) -> int:
         """``local(vertex)``: the change in enabled count inside ``N[vertex]``
-        when ``vertex`` alone fires (``rules`` None: through the protocol's
+        when ``vertex`` alone fires (``guards`` None: through the protocol's
         own ``apply``/``is_enabled``)."""
         protocol = self._protocol
         neighbors = self._neighbors
         around = neighbors[vertex]
         before = len(enabled.intersection((vertex,) + around))
-        if rules is None:
+        if guards is None:
             next_config, _ = protocol.apply(configuration, [vertex])
             after = sum(
                 1 for w in (vertex,) + around if protocol.is_enabled(next_config, w)
@@ -468,7 +469,7 @@ class AdversarialCentralDaemon(Daemon):
         view = LocalView._from_trusted_parts(
             vertex, states[vertex], {u: states[u] for u in around}, graph
         )
-        enabled_rules = [rule for rule in rules if rule.guard(view)]
+        enabled_rules = [rule for rule, check in guards if check(view)]
         if enabled_rules:
             new_state = protocol.choose_rule(enabled_rules, view).apply(view)
             protocol.validate_state(vertex, new_state)
@@ -483,8 +484,8 @@ class AdversarialCentralDaemon(Daemon):
             views.append(LocalView._from_trusted_parts(w, states[w], w_states, graph))
         after = 0
         for w_view in views:
-            for rule in rules:
-                if rule.guard(w_view):
+            for _, check in guards:
+                if check(w_view):
                     after += 1
                     break
         return after - before
@@ -504,7 +505,14 @@ class AdversarialCentralDaemon(Daemon):
         states = configuration.as_dict()
         self._invalidate(states)
         local = self._local
-        rules = protocol.rules() if self._stock_transitions else None
+        guards = None
+        if self._stock_transitions:
+            # Rules keeping the stock ``is_enabled`` are probed through their
+            # raw guard; overrides keep their semantics, as in the engine.
+            guards = [
+                (rule, rule.guard if type(rule).is_enabled is Rule.is_enabled else rule.is_enabled)
+                for rule in protocol.rules()
+            ]
         last_activated = self._last_activated
         best_vertex = None
         best_key: Optional[Tuple[int, int]] = None
@@ -516,7 +524,7 @@ class AdversarialCentralDaemon(Daemon):
             delta = local.get(vertex)
             if delta is None:
                 delta = local[vertex] = self._local_delta(
-                    vertex, enabled, states, configuration, rules
+                    vertex, enabled, states, configuration, guards
                 )
             # Maximize enabled_after, then prefer least recently activated.
             key = (-delta, last_activated.get(vertex, -1))

@@ -133,30 +133,24 @@ class SafetyMonitor:
             return self._stop_when(configuration, index)
         return False
 
-    def observe_verdicts(
-        self, verdicts: Sequence[bool], index: int, through: Optional[int] = None
-    ) -> None:
+    def observe_verdicts(self, verdicts: Sequence[bool], index: int) -> None:
         """Record precomputed safety verdicts of configuration ``index``.
 
         ``verdicts[i]`` is whether the configuration satisfies the safety
         predicate of the ``i``-th monitored specification.  Same gapless
         index contract as :meth:`observe`, whose bookkeeping this is; the
         superstep engine calls it with verdicts from
-        :meth:`~repro.core.Specification.safe_rows`.  ``through`` records
-        the same verdicts for every index from ``index`` to ``through``
-        (a fixed point repeats one configuration), exactly as that many
-        single-index calls would.
+        :meth:`~repro.core.Specification.safe_rows`.
         """
         if index != self._last_index + 1:
             raise SimulationError(
                 f"monitor observed index {index} after {self._last_index}; "
                 "observations must be gapless (one run per monitor, or reset())"
             )
-        last = index if through is None else through
-        self._last_index = last
+        self._last_index = index
         for position, safe in enumerate(verdicts):
             if not safe:
-                self._last_unsafe[position] = last
+                self._last_unsafe[position] = index
                 if self._first_unsafe[position] is None:
                     self._first_unsafe[position] = index
 

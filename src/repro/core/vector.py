@@ -1175,8 +1175,8 @@ class VectorEngine:
           vertices whose firing changes nothing) fast-forwards the
           remaining budget without further kernel work when no
           ``stop_when`` needs per-index evaluation; a bare in-kernel
-          monitor records its unchanged verdicts for every remaining
-          index at once.
+          monitor records its unchanged verdicts at every remaining
+          index.
         """
         if not daemon.synchronous:
             raise SimulationError(
@@ -1249,10 +1249,11 @@ class VectorEngine:
                 # Fixed point: enabled vertices whose firing changes nothing.
                 # Every remaining step is this exact step — record it
                 # wholesale instead of spinning the kernel.  A bare
-                # in-kernel monitor would see the same verdicts at every
-                # remaining index, so it records them in one call.
+                # in-kernel monitor sees the same verdicts at every
+                # remaining index.
                 if monitor is not None:
-                    monitor.observe_verdicts(verdicts, steps, through=max_steps)
+                    for index in range(steps, max_steps + 1):
+                        monitor.observe_verdicts(verdicts, index)
                 checkpoints[steps] = states.copy()
                 remaining = max_steps - steps
                 enabled_log.extend([enabled] * (remaining + 1))

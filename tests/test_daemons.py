@@ -13,11 +13,13 @@ from repro.core import (
     DistributedDaemon,
     LocallyCentralDaemon,
     RoundRobinCentralDaemon,
+    Rule,
     Simulator,
     StarvationDaemon,
     SynchronousDaemon,
     is_weaker_than,
     make_daemon,
+    protocol_supports_incremental,
 )
 from repro.exceptions import DaemonError
 from repro.graphs import make_topology, ring_graph
@@ -201,6 +203,23 @@ class _EvenClockSSME(SSME):
         )
 
 
+class _EvenClockRule(Rule):
+    """A rule whose ``is_enabled`` adds the same gate at the rule level:
+    the protocol keeps its stock transitions, so the incremental engine
+    runs it, but the raw guard alone would fire vertex 0 on odd clocks."""
+
+    __slots__ = ()
+
+    def is_enabled(self, view):
+        return super().is_enabled(view) and (view.vertex != 0 or view.state % 2 == 0)
+
+
+class _EvenClockRuleSSME(SSME):
+    def __init__(self, graph):
+        super().__init__(graph)
+        self._rules = [_EvenClockRule(rule.name, rule.guard, rule.action) for rule in self._rules]
+
+
 _LOOKAHEAD_CASES = {
     "ssme-ring12": lambda: SSME(make_topology("ring", 12)),
     "ssme-grid9": lambda: SSME(make_topology("grid", 9)),
@@ -208,6 +227,7 @@ _LOOKAHEAD_CASES = {
     "dijkstra-ring12": lambda: DijkstraTokenRing(ring_graph(12)),
     "unison-path6": lambda: AsynchronousUnison(make_topology("path", 6)),
     "even-clock-ssme-ring12": lambda: _EvenClockSSME(ring_graph(12)),
+    "even-clock-rule-ssme-ring12": lambda: _EvenClockRuleSSME(ring_graph(12)),
 }
 
 
@@ -236,15 +256,24 @@ class TestAdversarialLookaheadMemo:
         assert len(expected) > 20
         assert actual == expected
 
-    def test_is_enabled_override_changes_the_schedule(self):
-        """The ``is_enabled`` override is honoured: ignoring it (plain
-        SSME) schedules differently from the same configuration."""
-        overridden = _LOOKAHEAD_CASES["even-clock-ssme-ring12"]()
+    @pytest.mark.parametrize("case", ["even-clock-ssme-ring12", "even-clock-rule-ssme-ring12"])
+    def test_is_enabled_override_changes_the_schedule(self, case):
+        """The ``is_enabled`` override, on the protocol or on its rules, is
+        honoured: ignoring it (plain SSME) schedules differently from the
+        same configuration."""
+        overridden = _LOOKAHEAD_CASES[case]()
         plain = SSME(ring_graph(12))
         initial = overridden.random_configuration(random.Random(1))
         assert _selections(overridden, AdversarialCentralDaemon(), initial) != _selections(
             plain, AdversarialCentralDaemon(), initial
         )
+
+    def test_rule_override_keeps_the_incremental_engine(self):
+        """The rule-level override leaves the protocol's transitions stock,
+        so its misses are scored on local views, not through ``apply``."""
+        protocol = _LOOKAHEAD_CASES["even-clock-rule-ssme-ring12"]()
+        assert protocol.has_stock_transitions()
+        assert protocol_supports_incremental(protocol)
 
     @pytest.mark.parametrize("trace", ["full", "light"])
     def test_one_daemon_reused_across_runs_and_protocols(self, trace):
