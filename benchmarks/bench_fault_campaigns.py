@@ -11,9 +11,10 @@ Unlike the engine-scaling benchmark, everything written to the JSON here is
 are pure functions of each scenario's pinned seed, identical across
 machines, Python versions and engine backends (the engine-equivalence
 suite pins that).  CI therefore recomputes the
-smoke-tier headlines and compares them *exactly* against the committed
-``BENCH_faults.json`` — report-only, so an intentional semantic change
-shows up as a warning until the file is regenerated.  Wall-clock timing is
+headlines of the full grid and compares them *exactly* against the
+committed ``BENCH_faults.json``, flagging missing and stale rows alike —
+report-only, so an intentional semantic change shows up as a warning until
+the file is regenerated.  Wall-clock timing is
 printed to stderr only and never written to the JSON.
 """
 
@@ -53,7 +54,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="run only the smoke-tier scenarios (the CI subset)",
+        help="run only the smoke-tier scenarios",
     )
     parser.add_argument(
         "--engine",

@@ -56,36 +56,7 @@ from .protocol import ActivationRecord, Protocol
 from .rules import LocalView, Rule
 from .state import Configuration, ConfigurationBuffer
 
-__all__ = [
-    "IncrementalEngine",
-    "prefers_array_backend",
-    "protocol_supports_incremental",
-]
-
-
-#: Automatic-backend size floor for the synchronous daemon: below
-#: ``_DENSE_MIN_N`` vertices the fixed per-step cost of the array operations
-#: exceeds the dict engine's whole-graph rescan, so small graphs keep the
-#: dict paths.
-_DENSE_MIN_N = 32
-
-
-def prefers_array_backend(daemon: Daemon, n: int) -> bool:
-    """Whether automatic backend selection should try the array kernel for
-    ``daemon`` on a graph of ``n`` vertices: synchronous daemons once
-    ``n >= _DENSE_MIN_N``.  Every other daemon runs on the dict paths."""
-    return daemon.synchronous and n >= _DENSE_MIN_N
-
-
-def protocol_supports_incremental(protocol: Protocol) -> bool:
-    """Whether ``protocol`` keeps the base-class transition semantics.
-
-    ``choose_rule``, ``validate_state`` and ``rules`` may be overridden
-    freely — the engine calls them; only the hot-path methods it *replaces*
-    must be the stock implementations (see
-    :meth:`Protocol.has_stock_transitions`).
-    """
-    return protocol.has_stock_transitions()
+__all__ = ["IncrementalEngine"]
 
 
 class IncrementalEngine:
@@ -93,27 +64,11 @@ class IncrementalEngine:
 
     The engine is stateless between runs (all per-run state lives in local
     variables), so one instance can be cached per simulator and reused.
-
-    Backend selection: the dict-based sparse/batch paths below are always
-    available; protocols that declare an array codec/kernel (see
-    :mod:`repro.core.vector`) additionally unlock a NumPy-vectorized
-    **array-state backend** that runs synchronous-daemon runs in batched
-    supersteps.  ``run``'s ``backend`` parameter picks between them —
-    ``"auto"`` (default) uses the vector backend exactly when the protocol
-    declares one and :func:`prefers_array_backend` approves the daemon on
-    the graph's size (the synchronous daemon from 32 vertices);
-    ``"vector"`` requests it under the synchronous daemon at any size.
-    Every other daemon, and every protocol without the capability, runs on
-    the dict paths.
+    It is the dict engine only: :class:`~repro.core.Simulator` decides
+    which runs go to the array backend (:mod:`repro.core.vector`) instead.
     """
 
-    __slots__ = (
-        "_protocol",
-        "_graph",
-        "_vertices",
-        "_neighbors",
-        "last_run_backend",
-    )
+    __slots__ = ("_protocol", "_graph", "_vertices", "_neighbors")
 
     #: Refresh-mode switch: when ``len(changes) * _BATCH_DENSITY >= n`` the
     #: dirty set ``C ∪ neig(C)`` covers (essentially) the whole graph, so the
@@ -130,32 +85,6 @@ class IncrementalEngine:
         self._neighbors: Dict[VertexId, Tuple[VertexId, ...]] = {
             v: tuple(self._graph.neighbors(v)) for v in self._vertices
         }
-        #: Which backend the most recent ``run`` used ("vector" or "dict");
-        #: None before the first run.  Diagnostic only.
-        self.last_run_backend: Optional[str] = None
-
-    def _vector_engine(self):
-        """The protocol's array-state backend, or None when unavailable.
-
-        Probed lazily on first use, so building an engine never imports
-        NumPy; a declining protocol is re-probed on the next call.  The
-        probed codec/kernel objects are handed straight to the engine, so
-        the capability is instantiated exactly once, and the engine is kept
-        on the protocol instance: every simulator over one protocol shares
-        one :class:`~repro.core.vector.GraphIndex` and one prepared kernel.
-        """
-        protocol = self._protocol
-        vector = getattr(protocol, "_array_engine", None)
-        if vector is None:
-            from .vector import VectorEngine, vector_eligible
-
-            if vector_eligible(protocol):
-                codec = protocol.array_codec()
-                kernel = protocol.array_kernel()
-                if codec is not None and kernel is not None:
-                    vector = VectorEngine(protocol, codec=codec, kernel=kernel)
-                    protocol._array_engine = vector
-        return vector
 
     def run(
         self,
@@ -165,7 +94,6 @@ class IncrementalEngine:
         max_steps: int,
         stop_when: Optional[Callable[[Configuration, int], bool]] = None,
         trace: str = "full",
-        backend: str = "auto",
     ) -> Execution:
         """Run up to ``max_steps`` actions from ``initial``.
 
@@ -181,40 +109,9 @@ class IncrementalEngine:
         actions are pure functions of the view); a hook mutating
         ``view.neighbor_states`` would corrupt the cache, and one stashing a
         view would observe it silently change under later actions.
-
-        ``backend`` selects between the dict-based sparse/batch paths
-        (``"dict"``) and the NumPy array-state kernel (``"vector"``), which
-        runs synchronous-daemon runs — a deterministic schedule with no
-        per-step decision — in supersteps
-        (:meth:`VectorEngine.run_supersteps`); ``"auto"`` (default) picks
-        the array backend when the protocol declares one and
-        :func:`prefers_array_backend` approves the daemon on this graph's
-        size, so small graphs keep the dict paths.  Every other daemon runs
-        on the dict paths, as do requests the capability cannot honour (no
-        kernel, states outside the codec's layout) — never an error.
         """
         if trace not in {"full", "light"}:
             raise SimulationError(f"unknown trace mode {trace!r}")
-        if backend not in {"auto", "dict", "vector"}:
-            raise SimulationError(f"unknown engine backend {backend!r}")
-        if backend != "dict" and daemon.synchronous:
-            vector = self._vector_engine()
-            if vector is not None and (
-                backend == "vector" or prefers_array_backend(daemon, self._graph.n)
-            ):
-                encoded = vector.encode_initial(initial)
-                if encoded is not None:
-                    self.last_run_backend = "vector"
-                    return vector.run_supersteps(
-                        daemon=daemon,
-                        rng=rng,
-                        initial=initial,
-                        max_steps=max_steps,
-                        stop_when=stop_when,
-                        trace=trace,
-                        initial_array=encoded,
-                    )
-        self.last_run_backend = "dict"
         if set(initial) != set(self._vertices):
             raise SimulationError(
                 "initial configuration is not over the protocol's vertex set"

@@ -204,8 +204,8 @@ class Protocol(ABC):
 
         Must encode *exactly* the stock transition semantics over the
         :meth:`array_codec` representation (first-enabled-rule arbitration
-        included); see :func:`repro.core.vector.protocol_supports_vector`
-        for the full eligibility contract.  Implementations import their
+        included); see :func:`repro.core.vector.array_engine` for the full
+        eligibility contract.  Implementations import their
         NumPy kernel module inside the method, never at module load, so
         ``import repro`` does not import NumPy.
         """

@@ -15,14 +15,11 @@ from typing import Callable, FrozenSet, List, Optional, Sequence
 from ..exceptions import SimulationError
 from ..types import VertexId
 from .daemons import Daemon
-from .engine import (
-    IncrementalEngine,
-    prefers_array_backend,
-    protocol_supports_incremental,
-)
+from .engine import IncrementalEngine
 from .execution import Execution
 from .protocol import ActivationRecord, Protocol
 from .state import Configuration
+from .vector import VectorEngine, array_engine
 
 __all__ = ["StepResult", "Simulator"]
 
@@ -31,6 +28,12 @@ ENGINES = ("auto", "incremental", "vector", "reference")
 
 #: Trace modes accepted by :class:`Simulator` (see docs/engine.md).
 TRACE_MODES = ("full", "light")
+
+#: ``engine="auto"`` size floor for the array backend: below
+#: ``_DENSE_MIN_N`` vertices the fixed per-step cost of the array
+#: operations exceeds the dict engine's whole-graph rescan, so small graphs
+#: keep the dict engine.
+_DENSE_MIN_N = 32
 
 
 class StepResult:
@@ -73,12 +76,12 @@ class Simulator:
         Source of randomness for the daemon (and nothing else).  Passing a
         seeded ``random.Random`` makes runs reproducible.
     engine:
-        ``"auto"`` (default) picks a sound backend by a size-aware policy
-        (:func:`~repro.core.engine.prefers_array_backend`): the
-        NumPy-vectorized array-state kernel (:mod:`repro.core.vector`) when
-        the protocol declares one and the daemon is synchronous
-        (:attr:`Daemon.synchronous`) on a graph of at least 32 vertices;
-        the dirty-set incremental engine otherwise.
+        ``"auto"`` (default) picks a sound backend by a size-aware policy:
+        the NumPy-vectorized array-state kernel (:mod:`repro.core.vector`)
+        when the protocol has a usable one
+        (:func:`~repro.core.vector.array_engine`) and the daemon is
+        synchronous (:attr:`Daemon.synchronous`) on a graph of at least 32
+        vertices; the dirty-set incremental engine otherwise.
         ``"incremental"`` forces the dict-based dirty-set engine of
         :mod:`repro.core.engine`;
         ``"vector"`` requests the array-state kernel, which runs
@@ -137,27 +140,26 @@ class Simulator:
         # semantics: no incremental engine, and no prepared-evaluation
         # threading either (their ``apply`` may predate the ``prepared``
         # keyword and their enabledness chain must be honoured).
-        self._prepared_ok = protocol_supports_incremental(protocol)
-        # Backend resolution (graceful, never an error): the array-state
-        # kernel needs the protocol capability and the synchronous daemon;
-        # "auto" additionally requires a large enough graph — the regime
-        # where whole-array steps beat the dirty-set paths.  The probe
-        # constructs the incremental engine (which runs would build anyway)
-        # so the kernel it instantiates is the one that runs.
+        self._prepared_ok = protocol.has_stock_transitions()
+        # Backend resolution, made here once (graceful, never an error):
+        # the array kernel needs the synchronous daemon and a usable array
+        # engine; "auto" additionally requires a large enough graph — the
+        # regime where whole-array steps beat the dict engine's rescans.
+        # The probe returns the protocol's shared engine, the one that runs.
+        self._vector: Optional[VectorEngine] = None
         self._incremental: Optional[IncrementalEngine] = None
-        if engine in ("auto", "vector"):
-            if not daemon.synchronous or (
-                engine == "auto" and not prefers_array_backend(daemon, protocol.graph.n)
-            ):
-                engine = "incremental"
-            elif not self._prepared_ok:
+        self._last_run_backend: Optional[str] = None
+        if engine != "reference":
+            if not self._prepared_ok:
                 engine = "reference"
+            elif daemon.synchronous and (
+                engine == "vector"
+                or (engine == "auto" and protocol.graph.n >= _DENSE_MIN_N)
+            ):
+                self._vector = array_engine(protocol)
+                engine = "incremental" if self._vector is None else "vector"
             else:
-                self._incremental = IncrementalEngine(protocol)
-                has_kernel = self._incremental._vector_engine() is not None
-                engine = "vector" if has_kernel else "incremental"
-        if engine in ("incremental", "vector") and not self._prepared_ok:
-            engine = "reference"
+                engine = "incremental"
         self._engine = engine
         self._trace = trace
 
@@ -180,13 +182,10 @@ class Simulator:
     def last_run_backend(self) -> Optional[str]:
         """Which backend the most recent :meth:`run` actually used
         ("vector" or "dict"; None before any run or under the reference
-        engine).  Diagnostic: the vector backend may
-        decline a particular initial configuration (states outside the
-        codec's integer layout) and fall back to the dict paths
-        mid-selection."""
-        if self._incremental is None:
-            return None
-        return self._incremental.last_run_backend
+        engine).  Diagnostic: the vector backend may decline a particular
+        initial configuration (states outside the codec's integer layout),
+        and that run then falls back to the dict engine."""
+        return self._last_run_backend
 
     @property
     def trace(self) -> str:
@@ -255,19 +254,33 @@ class Simulator:
                 f"unknown trace mode {trace!r}; known: {', '.join(TRACE_MODES)}"
             )
         self._daemon.reset()
-        if self._engine in ("incremental", "vector"):
-            if self._incremental is None:
-                self._incremental = IncrementalEngine(self._protocol)
-            return self._incremental.run(
-                daemon=self._daemon,
-                rng=self._rng,
-                initial=initial,
-                max_steps=max_steps,
-                stop_when=stop_when,
-                trace=trace,
-                backend="vector" if self._engine == "vector" else "dict",
-            )
-        return self._run_reference(initial, max_steps, stop_when, trace)
+        if self._engine == "reference":
+            return self._run_reference(initial, max_steps, stop_when, trace)
+        if self._engine == "vector":
+            # A synchronous run is deterministic, so the superstep loop
+            # never consults the daemon.  States outside the codec's integer
+            # layout send this run to the dict engine instead.
+            encoded = self._vector.encode_initial(initial)
+            if encoded is not None:
+                self._last_run_backend = "vector"
+                return self._vector.run_supersteps(
+                    initial,
+                    max_steps,
+                    stop_when=stop_when,
+                    trace=trace,
+                    initial_array=encoded,
+                )
+        if self._incremental is None:
+            self._incremental = IncrementalEngine(self._protocol)
+        self._last_run_backend = "dict"
+        return self._incremental.run(
+            daemon=self._daemon,
+            rng=self._rng,
+            initial=initial,
+            max_steps=max_steps,
+            stop_when=stop_when,
+            trace=trace,
+        )
 
     def _run_reference(
         self,

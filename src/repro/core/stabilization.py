@@ -365,10 +365,11 @@ def measure_stabilization(
         When True, the specification's liveness condition is evaluated on
         the suffix starting at the observed stabilization point.
     engine:
-        Simulation engine ("auto" by default — the vectorized array-state
-        backend in supersteps when the protocol declares one, the daemon is
-        synchronous and the graph has at least 32 vertices
-        (:func:`~repro.core.engine.prefers_array_backend`), the incremental
+        Simulation engine, resolved by :class:`~repro.core.Simulator`
+        ("auto" by default — the vectorized array-state backend in
+        supersteps when the protocol has a usable one
+        (:func:`~repro.core.vector.array_engine`), the daemon is
+        synchronous and the graph has at least 32 vertices, the incremental
         dirty-set engine otherwise; "reference" replays the naive
         semantics, useful to cross-check a measurement).  Runs over one
         protocol instance share its array-state engine, so a sweep builds

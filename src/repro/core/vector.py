@@ -25,20 +25,19 @@ synchronous-daemon runs in supersteps:
   position of its *first* enabled rule (or -1), and
   ``fire(states, selected, rule_ids, index)`` returns the new state rows of
   the selected vertices — both as whole-array computations;
-* :class:`VectorEngine` — a drop-in runner for synchronous-daemon runs
-  with the exact ``IncrementalEngine.run`` contract, built on the above
+* :class:`VectorEngine` — a runner for synchronous-daemon runs with the
+  observable executions of ``IncrementalEngine.run``, built on the above
   (:meth:`VectorEngine.run_supersteps`).
 
 Protocols opt in through the capability API
 :meth:`repro.core.Protocol.array_codec` / :meth:`~repro.core.Protocol.array_kernel`
-(both return None by default).  Backend selection is automatic and degrades
-gracefully: the vector backend is used only under the synchronous daemon,
-when the protocol declares a kernel and the engine semantics the kernel
-encodes (stock transition chain, stock ``choose_rule``, actions that
-preserve state validity) actually hold; every other daemon and protocol
-runs on the sparse/batch dict paths.  NumPy is a required dependency,
-imported lazily: nothing in this module imports it at module load, so
-``import repro`` stays cheap.
+(both return None by default); :func:`array_engine` is the one probe of
+that capability.  :class:`~repro.core.Simulator` resolves the backend and
+degrades gracefully: the vector backend is used only under the synchronous
+daemon, when :func:`array_engine` finds a usable kernel; every other daemon
+and protocol runs on the sparse/batch dict paths.  NumPy is a required
+dependency, imported lazily: nothing in this module imports it at module
+load, so ``import repro`` stays cheap.
 
 Equivalence with the reference engine (same configurations, selections,
 enabled sets, activation records, truncation) is pinned by
@@ -63,7 +62,6 @@ from typing import (
 from ..exceptions import SimulationError
 from ..graphs import Graph
 from ..types import VertexId, VertexStateLike
-from .daemons import Daemon
 from .execution import DeltaLog, Execution, LazyActivations, LazyEnabledSets
 from .protocol import Protocol
 from .state import Configuration
@@ -77,55 +75,53 @@ __all__ = [
     "IntTupleCodec",
     "TiledGraphIndex",
     "VectorEngine",
-    "protocol_supports_vector",
+    "array_engine",
     "tile_block_positions",
     "tile_block_values",
-    "vector_eligible",
 ]
 
 
-def vector_eligible(protocol: Protocol) -> bool:
-    """The cheap (non-instantiating) half of the vector-backend contract.
+def array_engine(protocol: Protocol) -> Optional["VectorEngine"]:
+    """The protocol's :class:`VectorEngine`, or None when it has no usable
+    one: the single array-capability probe.
 
-    True when the *semantics* the kernel encodes hold:
+    Usable means the protocol declares both an
+    :meth:`~repro.core.Protocol.array_codec` and an
+    :meth:`~repro.core.Protocol.array_kernel`, and the semantics the kernel
+    encodes hold:
 
-    * the stock transition semantics (same precondition as the incremental
-      engine — the kernel replaces the whole guard/firing chain);
+    * the stock transition semantics (the kernel replaces the whole
+      guard/firing chain, see :meth:`Protocol.has_stock_transitions`);
     * the stock ``choose_rule`` (the kernel hard-codes the
       first-enabled-rule arbitration the base class implements);
     * firing re-validation impossible or waived
       (``actions_preserve_validity`` or a stock ``validate_state``) — the
       vector firing path does not call back into Python per vertex.
 
-    Says nothing about the protocol actually *declaring* the capability;
-    callers that need the codec/kernel probe them directly afterwards (so
-    the objects are built once and used, never built-and-discarded).
+    The engine is built from the probed codec and kernel on the first
+    success and kept on the protocol instance, so every simulator over one
+    protocol shares one :class:`GraphIndex` and one prepared kernel; a
+    declining protocol is re-probed on the next call.
     """
-    if not protocol.has_stock_transitions():
-        return False
-    if type(protocol).choose_rule is not Protocol.choose_rule:
-        return False
-    return (
-        protocol.actions_preserve_validity
-        or type(protocol).validate_state is Protocol.validate_state
-    )
-
-
-def protocol_supports_vector(protocol: Protocol) -> bool:
-    """Whether ``protocol`` can run on the vectorized array-state backend.
-
-    :func:`vector_eligible` plus the protocol actually declaring both an
-    :meth:`~repro.core.Protocol.array_codec` and an
-    :meth:`~repro.core.Protocol.array_kernel`.  Probing instantiates (and
-    discards) the capability objects — engine code paths use
-    :func:`vector_eligible` + a direct probe instead, keeping exactly one
-    construction per engine.
-    """
-    return (
-        vector_eligible(protocol)
-        and protocol.array_codec() is not None
-        and protocol.array_kernel() is not None
-    )
+    engine = getattr(protocol, "_array_engine", None)
+    if engine is not None:
+        return engine
+    if (
+        not protocol.has_stock_transitions()
+        or type(protocol).choose_rule is not Protocol.choose_rule
+        or not (
+            protocol.actions_preserve_validity
+            or type(protocol).validate_state is Protocol.validate_state
+        )
+    ):
+        return None
+    codec = protocol.array_codec()
+    kernel = protocol.array_kernel()
+    if codec is None or kernel is None:
+        return None
+    engine = VectorEngine(protocol, codec=codec, kernel=kernel)
+    protocol._array_engine = engine
+    return engine
 
 
 class GraphIndex:
@@ -473,7 +469,7 @@ class ArrayKernel(ABC):
       :attr:`rule_names` order — which must equal ``protocol.rules()``
       order) of its **first** enabled rule, or ``-1`` when disabled.  This
       bakes in the base-class ``choose_rule`` (first enabled rule), which
-      is why :func:`protocol_supports_vector` rejects overrides.
+      is why :func:`array_engine` rejects overrides.
     * ``fire`` evaluates the actions of ``rule_ids`` for the ``selected``
       row positions against the *current* ``states`` (atomic-snapshot
       semantics: the engine writes the returned rows back only after the
@@ -563,22 +559,6 @@ class ArrayStateView(Mapping[VertexId, VertexStateLike]):
     # correctness trap (same contract as ConfigurationView).
     __hash__ = None  # type: ignore[assignment]
 
-    @property
-    def vertex_order(self) -> Tuple[VertexId, ...]:
-        """Row position -> vertex id of :meth:`raw_states` (stable per engine)."""
-        return self._index.vertices
-
-    def raw_states(self):
-        """The live ``(n, width)`` int64 state array, row-aligned with
-        :attr:`vertex_order`.
-
-        Read-only contract: callers must neither mutate nor retain it (it
-        changes under their feet like the view itself).  This is the hook
-        array-aware predicates (e.g. the vectorized privilege count behind
-        ``MutualExclusionSpec.is_safe``) use to avoid decoding per vertex.
-        """
-        return self._states
-
     def as_dict(self) -> Dict[VertexId, VertexStateLike]:
         """A mutable copy of the current states."""
         return dict(
@@ -608,48 +588,6 @@ class ArrayStateView(Mapping[VertexId, VertexStateLike]):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ArrayStateView(n={self._index.n})"
-
-
-class _VectorAction(Sequence):
-    """One action's raw firing log, decoded from arrays on demand.
-
-    Behaves as the sequence of raw ``(vertex, rule_name, old, new)`` tuples
-    :class:`~repro.core.LazyActivations` consumes, but stores only the four
-    compact arrays the replay already produced.  ``len`` never decodes, so
-    aggregate walks (``moves()``) stay array-cheap; iterating decodes the
-    whole action in bulk (four ``tolist`` calls), which only happens when a
-    caller actually inspects that action's records.
-    """
-
-    __slots__ = ("_selected", "_rule_ids", "_old", "_new", "_vertices", "_names", "_codec")
-
-    def __init__(self, selected, rule_ids, old, new, vertices, names, codec) -> None:
-        self._selected = selected
-        self._rule_ids = rule_ids
-        self._old = old
-        self._new = new
-        self._vertices = vertices
-        self._names = names
-        self._codec = codec
-
-    def __len__(self) -> int:
-        return int(self._selected.size)
-
-    def _decoded(self) -> List[tuple]:
-        return list(
-            zip(
-                map(self._vertices.__getitem__, self._selected.tolist()),
-                map(self._names.__getitem__, self._rule_ids.tolist()),
-                self._codec.decode(self._old),
-                self._codec.decode(self._new),
-            )
-        )
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self._decoded())
-
-    def __getitem__(self, position):
-        return self._decoded()[position]
 
 
 class _SuperstepReplayer:
@@ -719,12 +657,13 @@ class _SuperstepReplayer:
 
 
 class _SuperstepActionLog(Sequence):
-    """Per-action :class:`_VectorAction` sequence reconstructed by replay.
+    """Per-action raw firing logs reconstructed by replay.
 
     The raw log handed to :class:`~repro.core.LazyActivations` by the
     superstep path: ``log[i]`` replays action ``i`` through the shared
-    :class:`_SuperstepReplayer` and wraps its step data in a
-    :class:`_VectorAction`.
+    :class:`_SuperstepReplayer` and decodes its step data in bulk (four
+    ``tolist`` calls) into the list of ``(vertex, rule_name, old, new)``
+    tuples :class:`~repro.core.LazyActivations` consumes.
     """
 
     __slots__ = ("_replayer", "_counts", "_vertices", "_names", "_codec")
@@ -751,9 +690,13 @@ class _SuperstepActionLog(Sequence):
             return [self[i] for i in range(*index.indices(len(self)))]
         index = self._position_index(index)
         selected, rule_ids, old_rows, new_rows, _ = self._replayer.step_data(index)
-        return _VectorAction(
-            selected, rule_ids, old_rows, new_rows,
-            self._vertices, self._names, self._codec,
+        return list(
+            zip(
+                map(self._vertices.__getitem__, selected.tolist()),
+                map(self._names.__getitem__, rule_ids.tolist()),
+                self._codec.decode(old_rows),
+                self._codec.decode(new_rows),
+            )
         )
 
 
@@ -1029,7 +972,7 @@ class VectorEngine:
     for synchronous-daemon runs.
 
     One instance per protocol (kept on the protocol instance by
-    :class:`IncrementalEngine`); stateless between runs.
+    :func:`array_engine`); stateless between runs.
     :meth:`run_supersteps` executes synchronous-daemon runs one step per
     loop iteration over one run state (:class:`_RunState`, which fires
     and refreshes the guards).  Each step is a constant number of
@@ -1119,8 +1062,6 @@ class VectorEngine:
 
     def run_supersteps(
         self,
-        daemon: Daemon,
-        rng,
         initial: Configuration,
         max_steps: int,
         stop_when: Optional[Callable[[Configuration, int], bool]] = None,
@@ -1131,10 +1072,11 @@ class VectorEngine:
 
         Same contract — and bit-identical observable executions — as the
         reference engine under a synchronous daemon, but each step is a
-        handful of array operations and the daemon is never called.  What
-        makes that sound is ``daemon.synchronous``: the selection of every
-        step is the full enabled set, so the schedule is deterministic and
-        there is no per-step decision to consult.
+        handful of array operations and no daemon is consulted: the caller
+        runs this loop only for a synchronous daemon
+        (:attr:`Daemon.synchronous`), whose selection of every step is the
+        full enabled set, so the schedule is deterministic and there is no
+        per-step decision to make.
 
         * **Observation** follows the dict engine: every index gets one
           ``stop_when`` call, on the loop's own state, before that index's
@@ -1178,11 +1120,6 @@ class VectorEngine:
           monitor records its unchanged verdicts at every remaining
           index.
         """
-        if not daemon.synchronous:
-            raise SimulationError(
-                "run_supersteps requires a synchronous daemon: superstep "
-                "execution skips per-step daemon selection"
-            )
         states = self._initial_states(initial, trace, initial_array)
         index = self._index
         codec = self._codec

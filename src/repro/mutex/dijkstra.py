@@ -195,24 +195,6 @@ class DijkstraTokenRing(Protocol, PrivilegeAware):
             return configuration[vertex] == predecessor_state
         return configuration[vertex] != predecessor_state
 
-    def privileged_count_array(self, view) -> int:
-        """Number of privileged vertices of a live array-state view.
-
-        Vectorized privilege count for the
-        :class:`~repro.core.vector.ArrayStateView` the array backends hand
-        to ``stop_when`` predicates under light traces: one gather against
-        the cached predecessor-position vector (non-bottom machines are
-        privileged iff their counter differs from their predecessor's, the
-        bottom machine iff it matches).
-        """
-        import numpy as np
-
-        pred, bottom = self._privilege_positions(view.vertex_order)
-        s = view.raw_states()[:, 0]
-        differs = s != s[pred]
-        count = int(np.count_nonzero(differs))
-        return count - 1 if differs[bottom] else count + 1
-
     def privileged_rows(self, rows, order):
         """Batch privilege matrix for the exact checker and the superstep
         engine's safety monitoring: non-bottom machines are privileged iff

@@ -74,20 +74,12 @@ class MutualExclusionSpec(Specification):
                 "MutualExclusionSpec requires a protocol with a privilege predicate"
             )
         self._protocol = protocol
-        # Vectorized safety fast path: PrivilegeAware protocols with an
-        # array-state privilege counter (SSME, Dijkstra) let is_safe avoid
-        # the O(n) per-vertex scan when handed a live ArrayStateView.
-        self._count_array = getattr(protocol, "privileged_count_array", None)
 
     # ------------------------------------------------------------------ #
     # Safety: at most one privileged vertex per configuration
     # ------------------------------------------------------------------ #
     def is_safe(self, configuration: Configuration, protocol: Protocol) -> bool:
         del protocol
-        if self._count_array is not None and hasattr(configuration, "raw_states"):
-            # Live ArrayStateView from an array backend: one vectorized
-            # count instead of n mapping lookups per observed step.
-            return self._count_array(configuration) <= 1
         privileged = 0
         for vertex in self._protocol.graph.vertices:
             if self._protocol.is_privileged(configuration, vertex):

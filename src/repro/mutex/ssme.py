@@ -175,20 +175,6 @@ class SSME(AsynchronousUnison, PrivilegeAware):
             if configuration[v] == self._privileged_values[v]
         )
 
-    def privileged_count_array(self, view) -> int:
-        """Number of privileged vertices of a live array-state view.
-
-        Vectorized equivalent of ``len(privileged_vertices(view))`` for the
-        :class:`~repro.core.vector.ArrayStateView` the array backends hand
-        to ``stop_when`` predicates under light traces — one whole-array
-        comparison against the cached per-row privileged values instead of
-        ``n`` mapping lookups.
-        """
-        import numpy as np
-
-        pv = self._privileged_value_row(view.vertex_order)
-        return int(np.count_nonzero(view.raw_states()[:, 0] == pv))
-
     def privileged_rows(self, rows, order):
         """Batch privilege matrix for the exact checker and the superstep
         engine's safety monitoring: a vertex is privileged exactly when its

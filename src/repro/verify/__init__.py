@@ -33,12 +33,12 @@ from .batched import (
     ArrayGameSolution,
     ArrayPacker,
     BatchedTransitionSystem,
+    batched_supported,
     solve_arrays,
 )
 from .results import LassoCounterexample, SpeculationGapCertificate, VerificationResult
 from .solver import (
     GameSolution,
-    batched_supported,
     exact_speculation_gap,
     exact_worst_case_stabilization,
     solve,

@@ -63,7 +63,7 @@ from ..core.vector import (
     ArrayKernel,
     GraphIndex,
     TiledGraphIndex,
-    vector_eligible,
+    array_engine,
 )
 from ..exceptions import VerificationError
 from .statespace import StateSpace
@@ -336,17 +336,9 @@ class ArrayPacker:
 
 
 def batched_supported(protocol: Protocol, specification: Specification) -> bool:
-    """Whether the batched engine can run this instance at all.
-
-    Kernel semantics valid (:func:`vector_eligible`) and both capability
-    objects declared.  Construction of the packer (and its
-    codec validation) happens inside :class:`BatchedTransitionSystem`; this
-    is the cheap pre-probe ``engine="auto"`` uses.
-    """
-    del specification
-    if not vector_eligible(protocol):
-        return False
-    return protocol.array_codec() is not None and protocol.array_kernel() is not None
+    """Whether the batched engine can run this instance: an alias of the
+    array-capability probe :func:`~repro.core.vector.array_engine`."""
+    return array_engine(protocol) is not None
 
 
 class ArrayExploredSystem:
@@ -518,18 +510,12 @@ class BatchedTransitionSystem:
             raise VerificationError(
                 f"unknown daemon class {daemon_class!r}; known: {', '.join(DAEMON_CLASSES)}"
             )
-        if not vector_eligible(protocol):
+        if array_engine(protocol) is None:
             raise VerificationError(
-                f"protocol {protocol.name!r} does not satisfy the vector-"
-                "kernel semantics contract; use the dict engine"
+                f"protocol {protocol.name!r} declares no array codec/kernel "
+                "or breaks the kernel semantics contract; use the dict engine"
             )
         codec = protocol.array_codec()
-        kernel = protocol.array_kernel()
-        if codec is None or kernel is None:
-            raise VerificationError(
-                f"protocol {protocol.name!r} declares no array codec/kernel; "
-                "use the dict engine"
-            )
         import numpy as np
 
         self._protocol = protocol

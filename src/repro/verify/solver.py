@@ -44,22 +44,15 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from ..core.protocol import Protocol
 from ..core.specification import Specification
 from ..core.state import Configuration
+from ..core.vector import array_engine
 from ..exceptions import VerificationError
 from .results import LassoCounterexample, SpeculationGapCertificate, VerificationResult
 from .statespace import StateSpace
 from .transitions import ExploredSystem, TransitionSystem, daemon_class_selections
 
 
-def batched_supported(protocol: Protocol, specification: Specification) -> bool:
-    """Re-exported probe (see :func:`repro.verify.batched.batched_supported`);
-    imported lazily so the solver module itself never touches NumPy."""
-    from .batched import batched_supported as probe
-
-    return probe(protocol, specification)
-
 __all__ = [
     "GameSolution",
-    "batched_supported",
     "solve",
     "verify_stabilization",
     "exact_worst_case_stabilization",
@@ -290,7 +283,7 @@ def verify_stabilization(
     if max_selections is not None:
         kwargs["max_selections"] = max_selections
     use_batched = engine == "batched"
-    if engine == "auto" and batched_supported(protocol, specification):
+    if engine == "auto" and array_engine(protocol) is not None:
         use_batched = True
     if use_batched:
         try:

@@ -294,7 +294,7 @@ class TestArrayPacker:
 class TestIneligibleProtocolDegradation:
     def test_auto_falls_back_and_batched_raises(self):
         class PickyUnison(AsynchronousUnison):
-            """Overrides ``choose_rule``, so it fails ``vector_eligible``."""
+            """Overrides ``choose_rule``, so ``array_engine`` declines it."""
 
             def choose_rule(self, enabled_rules, view):
                 return enabled_rules[-1]

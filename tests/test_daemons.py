@@ -19,7 +19,6 @@ from repro.core import (
     SynchronousDaemon,
     is_weaker_than,
     make_daemon,
-    protocol_supports_incremental,
 )
 from repro.exceptions import DaemonError
 from repro.graphs import make_topology, ring_graph
@@ -273,7 +272,6 @@ class TestAdversarialLookaheadMemo:
         so its misses are scored on local views, not through ``apply``."""
         protocol = _LOOKAHEAD_CASES["even-clock-rule-ssme-ring12"]()
         assert protocol.has_stock_transitions()
-        assert protocol_supports_incremental(protocol)
 
     @pytest.mark.parametrize("trace", ["full", "light"])
     def test_one_daemon_reused_across_runs_and_protocols(self, trace):

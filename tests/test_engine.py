@@ -20,7 +20,6 @@ from repro.core import (
     Rule,
     Simulator,
     SynchronousDaemon,
-    protocol_supports_incremental,
 )
 from repro.exceptions import SimulationError
 from repro.graphs import path_graph, ring_graph
@@ -285,7 +284,7 @@ class TestEngineSelection:
 
     def test_custom_apply_falls_back_to_reference(self):
         protocol = CustomApplyProtocol(path_graph(3))
-        assert not protocol_supports_incremental(protocol)
+        assert not protocol.has_stock_transitions()
         simulator = Simulator(protocol, SynchronousDaemon())
         assert simulator.engine == "reference"
         gamma = protocol.configuration({0: 1, 1: 1, 2: 1})
@@ -313,7 +312,7 @@ class TestEngineSelection:
 
     def test_local_view_override_observed_by_enabledness_chain(self):
         protocol = MaskedViewProtocol(path_graph(3))
-        assert not protocol_supports_incremental(protocol)
+        assert not protocol.has_stock_transitions()
         gamma = protocol.configuration({0: 1, 1: 1, 2: 1})
         # The masked view zeroes neighbours but the vertex's own state is
         # untouched, so the drop rule still fires for non-zero vertices —
@@ -324,7 +323,7 @@ class TestEngineSelection:
 
     def test_rule_subclass_is_enabled_honoured_by_incremental_engine(self):
         protocol = GatedTokenPassing(path_graph(3))
-        assert protocol_supports_incremental(protocol)
+        assert protocol.has_stock_transitions()
         # Vertex 2 holds the token but its only neighbour (1) does not, so
         # the subclass gate disables it — the raw guard alone would fire.
         gamma = protocol.configuration({0: 0, 1: 0, 2: 1})
@@ -341,7 +340,7 @@ class TestEngineSelection:
         both engines and the executions stay identical."""
         graph = ring_graph(6)
         protocol = OverlappingRulesProtocol(graph)
-        assert protocol_supports_incremental(protocol)
+        assert protocol.has_stock_transitions()
         initial = protocol.random_configuration(random.Random(3))
         runs = {}
         for engine in ("incremental", "reference"):

@@ -25,7 +25,6 @@ from repro.core import (
     CentralDaemon,
     Daemon,
     DistributedDaemon,
-    IncrementalEngine,
     LocallyCentralDaemon,
     RoundRobinCentralDaemon,
     Simulator,
@@ -367,37 +366,11 @@ def assert_equivalent_runs_dense(protocol, daemon_name, seed, steps):
 
 
 class TestVectorBackendSelection:
-    """Backend resolution for a protocol that declares the array capability."""
+    """Runs of a protocol that declares the array capability; the resolution
+    table itself is ``tests/test_backend_resolution.py``."""
 
     def _protocol(self):
         return AsynchronousUnison(ring_graph(10), validate_parameters=False)
-
-    def test_vector_backend_used_when_numpy_present(self):
-        # Below the dense-daemon size floor, auto keeps the dict paths.
-        small = self._protocol()
-        small_initial = small.random_configuration(random.Random(3))
-        for daemon in (SynchronousDaemon(), DistributedDaemon(0.9)):
-            simulator = Simulator(small, daemon, rng=random.Random(4))
-            assert simulator.engine == "incremental"
-            simulator.run(small_initial, max_steps=10)
-            assert simulator.last_run_backend == "dict"
-        protocol = AsynchronousUnison(ring_graph(32), validate_parameters=False)
-        initial = protocol.random_configuration(random.Random(3))
-        # auto + synchronous daemon + kernel → the vector backend.
-        simulator = Simulator(protocol, SynchronousDaemon(), rng=random.Random(4))
-        assert simulator.engine == "vector"
-        simulator.run(initial, max_steps=10)
-        assert simulator.last_run_backend == "vector"
-        # auto + dense-but-random daemon → the dirty-set paths.
-        dense = Simulator(
-            protocol, DistributedDaemon(0.9), rng=random.Random(4)
-        )
-        assert dense.engine == "incremental"
-        dense.run(initial, max_steps=10)
-        assert dense.last_run_backend == "dict"
-        # Sparse daemons keep the dirty-set paths under auto selection.
-        sparse = Simulator(protocol, CentralDaemon(), rng=random.Random(4))
-        assert sparse.engine == "incremental"
 
     def test_superstep_is_not_an_engine_name(self):
         assert ENGINES == ("auto", "incremental", "vector", "reference")
@@ -405,14 +378,6 @@ class TestVectorBackendSelection:
         with pytest.raises(SimulationError) as error:
             Simulator(protocol, SynchronousDaemon(), engine="vector-superstep")
         assert "known: auto, incremental, vector, reference" in str(error.value)
-        with pytest.raises(SimulationError):
-            IncrementalEngine(protocol).run(
-                daemon=SynchronousDaemon(),
-                rng=random.Random(0),
-                initial=protocol.random_configuration(random.Random(3)),
-                max_steps=5,
-                backend="vector-superstep",
-            )
 
     @pytest.mark.parametrize("trace", ["full", "light"])
     def test_vector_runs_supersteps_exactly_under_synchronous_daemon(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,16 @@ from repro.jobs import Dispatcher, ResultStore
 from repro.scenarios import get_scenario, list_scenarios
 
 SMOKE = [scenario.name for scenario in list_scenarios("smoke")]
+
+BENCH_FAULTS = Path(__file__).resolve().parents[1] / "BENCH_faults.json"
+
+
+def test_committed_headlines_cover_every_registered_scenario():
+    """``BENCH_faults.json`` holds one recovery headline per registered
+    scenario, no more and no fewer (regenerate it with
+    ``benchmarks/bench_fault_campaigns.py`` after adding a scenario)."""
+    committed = json.loads(BENCH_FAULTS.read_text())["headline_recovery"]
+    assert sorted(committed) == [scenario.name for scenario in list_scenarios()]
 
 
 class TestEmitJobs:

@@ -12,8 +12,8 @@ step-by-step run: one kernel firing per step during the run whatever the
 replay at non-checkpoint indices, terminal detection, the fixed-point
 fast-forward, the vectorized sparse guard refresh (subset kernels),
 in-kernel safety monitoring (verdicts from ``safe_rows``, no ``is_safe``
-call, a wrapped predicate called after them), and the vectorized
-privilege fast paths of ``spec_ME``/``spec_AU``.
+call, a wrapped predicate called after them), and the row-wise safety
+checks of ``spec_ME``/``spec_AU`` (``privileged_rows``, ``safe_rows``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import pytest
 from repro.core import vector as vector_module
 from repro.core import (
     ArrayKernel,
-    CentralDaemon,
     Configuration,
     Execution,
     GraphIndex,
@@ -99,8 +98,6 @@ def test_supersteps_match_single_step_at_every_cadence(
     engine = VectorEngine(protocol)
     single = _reference_run(protocol, initial, max_steps=200, trace=trace)
     batched = engine.run_supersteps(
-        SynchronousDaemon(),
-        random.Random(0),
         initial,
         max_steps=200,
         trace=trace,
@@ -117,8 +114,6 @@ def test_light_trace_random_access_at_non_checkpoint_indices(trace):
     engine = VectorEngine(protocol)
     oracle = _reference_run(protocol, initial, max_steps=150, trace="full")
     batched = engine.run_supersteps(
-        SynchronousDaemon(),
-        random.Random(0),
         initial,
         max_steps=150,
         trace=trace,
@@ -155,8 +150,6 @@ def test_stop_when_keeps_the_exact_prefix(target, monkeypatch):
     )
     batched, seen_batched = runner(
         lambda stop_when: engine.run_supersteps(
-            SynchronousDaemon(),
-            random.Random(0),
             initial,
             max_steps=200,
             stop_when=stop_when,
@@ -168,16 +161,6 @@ def test_stop_when_keeps_the_exact_prefix(target, monkeypatch):
     _assert_same_trace(batched, single)
     assert batched.steps == target
     assert batched.truncated
-
-
-def test_supersteps_require_a_synchronous_daemon():
-    protocol = SSME(ring_graph(6))
-    engine = VectorEngine(protocol)
-    initial = protocol.random_configuration(random.Random(1))
-    with pytest.raises(SimulationError):
-        engine.run_supersteps(
-            CentralDaemon(), random.Random(0), initial, max_steps=10
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -260,8 +243,6 @@ def test_terminal_detected_mid_block(trace):
     engine = VectorEngine(protocol)
     single = _reference_run(protocol, initial, max_steps=500, trace=trace)
     batched = engine.run_supersteps(
-        SynchronousDaemon(),
-        random.Random(0),
         initial,
         max_steps=500,
         trace=trace,
@@ -278,8 +259,6 @@ def test_fixed_point_fast_forwards_the_remaining_budget(trace):
     engine = VectorEngine(protocol)
     single = _reference_run(protocol, initial, max_steps=300, trace=trace)
     batched = engine.run_supersteps(
-        SynchronousDaemon(),
-        random.Random(0),
         initial,
         max_steps=300,
         trace=trace,
@@ -403,29 +382,6 @@ def test_subset_refresh_keeps_sparse_selections_exact(case, monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# Vectorized privilege fast path of spec_ME
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    "factory", [lambda: SSME(ring_graph(13)), lambda: DijkstraTokenRing(ring_graph(13))]
-, ids=["ssme", "dijkstra"])
-def test_privileged_count_array_matches_python(factory):
-    protocol = factory()
-    engine = VectorEngine(protocol)
-    spec = MutualExclusionSpec(protocol)
-    for seed in range(8):
-        configuration = protocol.random_configuration(random.Random(seed))
-        states = engine.encode_initial(configuration)
-        view = engine._view(states) if hasattr(engine, "_view") else None
-        if view is None:
-            from repro.core import ArrayStateView
-
-            view = ArrayStateView(engine._index, states, engine._codec)
-        expected = len(protocol.privileged_vertices(configuration))
-        assert protocol.privileged_count_array(view) == expected
-        assert spec.is_safe(view, protocol) == spec.is_safe(configuration, protocol)
-
-
-# --------------------------------------------------------------------- #
 # In-kernel safety monitoring: a SafetyMonitor is never replayed
 # --------------------------------------------------------------------- #
 MONITORED_SPECS = {
@@ -486,7 +442,7 @@ def _superstep_summary(protocol_name, protocol, initial, max_steps, trace):
     engine = VectorEngine(protocol)
     fire = _CountingFire(engine._kernel)
     execution = engine.run_supersteps(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=max_steps,
+        initial, max_steps=max_steps,
         stop_when=monitor.observe, trace=trace,
     )
     # Counted before any trace access, which may replay legitimately: the
@@ -564,7 +520,7 @@ def test_other_monitors_fire_once_per_step(case, trace, monkeypatch):
     reference = MutualExclusionSpec(protocol)
     reference_monitor = SafetyMonitor([reference], protocol)
     VectorEngine(protocol).run_supersteps(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=150,
+        initial, max_steps=150,
         stop_when=reference_monitor.observe, trace=trace,
     )
 
@@ -583,7 +539,7 @@ def test_other_monitors_fire_once_per_step(case, trace, monkeypatch):
     engine = VectorEngine(protocol)
     fire = _CountingFire(engine._kernel)
     execution = engine.run_supersteps(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=150,
+        initial, max_steps=150,
         stop_when=monitor.observe, trace=trace,
     )
     assert fire.calls == execution.steps == 150
@@ -630,7 +586,7 @@ def test_kernel_fires_once_per_step_for_every_stop_when(kind, trace, monkeypatch
     engine = VectorEngine(protocol)
     fire = _CountingFire(engine._kernel)
     execution = engine.run_supersteps(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=150,
+        initial, max_steps=150,
         stop_when=stop_when, trace=trace,
     )
     fired = fire.calls
@@ -652,7 +608,7 @@ def test_fixed_point_fires_once_in_total(trace):
     engine = VectorEngine(protocol)
     fire = _CountingFire(engine._kernel)
     execution = engine.run_supersteps(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=100_000, trace=trace,
+        initial, max_steps=100_000, trace=trace,
     )
     assert fire.calls == 1
     assert execution.steps == 100_000 and execution.truncated
@@ -702,7 +658,7 @@ def test_fixed_point_fast_forwards_a_bare_monitor(trace):
         engine = VectorEngine(protocol)
         fire = _CountingFire(engine._kernel)
         execution = engine.run_supersteps(
-            SynchronousDaemon(), random.Random(0), initial, max_steps=budget,
+            initial, max_steps=budget,
             stop_when=stop_when, trace=trace,
         )
         assert fire.calls == 1
@@ -748,7 +704,7 @@ def test_wrapped_monitor_predicate_sees_in_kernel_verdicts(target, trace):
     )
     execution, seen = observed_run(
         lambda stop_when: VectorEngine(protocol).run_supersteps(
-            SynchronousDaemon(), random.Random(0), initial, max_steps=60,
+            initial, max_steps=60,
             stop_when=stop_when, trace=trace,
         ),
         no_python_checks=True,
@@ -847,7 +803,7 @@ def test_lazy_enabled_sets_match_the_reference_engine(
         engine="reference", trace=trace,
     ).run(initial, max_steps=150, stop_when=stop_when)
     batched = VectorEngine(protocol).run_supersteps(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=150,
+        initial, max_steps=150,
         stop_when=stop_when, trace=trace,
     )
     assert isinstance(batched._enabled_sets, LazyEnabledSets)
@@ -866,7 +822,7 @@ def test_fixed_point_fast_forward_shares_one_enabled_set():
     protocol = StutterProtocol(ring_graph(6))
     initial = protocol.random_configuration(random.Random(2))
     execution = VectorEngine(protocol).run_supersteps(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=300,
+        initial, max_steps=300,
     )
     enabled = execution._enabled_sets
     assert enabled.materialized_count == 0
@@ -893,7 +849,7 @@ def test_lazy_enabled_sets_prefix_suffix_and_rounds_match_eager(
     protocol = PROTOCOLS[protocol_name]()
     initial = protocol.random_configuration(random.Random(4))
     lazy = VectorEngine(protocol).run_supersteps(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=120,
+        initial, max_steps=120,
         trace=trace,
     )
     positions = lazy._enabled_sets._positions
@@ -945,7 +901,7 @@ def test_superstep_round_count_replays_no_kernel_step(monkeypatch):
     monkeypatch.setattr(kernel_class, "fire", counting)
     _space_checkpoints(monkeypatch, 16)
     execution = VectorEngine(protocol).run_supersteps(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=200,
+        initial, max_steps=200,
         trace="light",
     )
     fired_during_run = len(calls)
@@ -1118,7 +1074,7 @@ def test_forced_branches_replay_the_same_run(protocol_name, dense, monkeypatch):
     _force_dense(monkeypatch, dense)
     _space_checkpoints(monkeypatch, 16)
     batched = engine.run_supersteps(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=120,
+        initial, max_steps=120,
         trace="light",
     )
     recorded = batched._enabled_sets._positions
@@ -1134,7 +1090,7 @@ def test_sparse_steps_leave_recorded_dense_masks_intact():
     engine = VectorEngine(protocol)
     single = _reference_run(protocol, initial, max_steps=200, trace="light")
     batched = engine.run_supersteps(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=200, trace="light"
+        initial, max_steps=200, trace="light"
     )
     recorded = batched._enabled_sets._positions
     kinds = [r.dtype == bool for r in recorded]
@@ -1150,7 +1106,7 @@ def test_steady_state_unison_records_one_shared_mask():
     run, so long steady-state runs keep one record, not one per step."""
     protocol = AsynchronousUnison(ring_graph(64), validate_parameters=False)
     execution = VectorEngine(protocol).run_supersteps(
-        SynchronousDaemon(), random.Random(0), protocol.legitimate_configuration(),
+        protocol.legitimate_configuration(),
         max_steps=300, trace="light",
     )
     recorded = execution._enabled_sets._positions
@@ -1170,7 +1126,7 @@ def test_replayed_actions_after_dense_steps_match_single_step(
     engine = VectorEngine(protocol)
     single = _reference_run(protocol, initial, max_steps=90, trace=trace)
     batched = engine.run_supersteps(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=90,
+        initial, max_steps=90,
         trace=trace,
     )
     assert any(r.dtype == bool for r in batched._enabled_sets._positions)
@@ -1261,7 +1217,7 @@ def test_tracked_privileged_count_matches_a_full_recount(case):
     spec = _RecountedSpec(protocol)
     monitor = SafetyMonitor([spec], protocol)
     execution = VectorEngine(protocol).run_supersteps(
-        SynchronousDaemon(), random.Random(0), initial, max_steps=horizon,
+        initial, max_steps=horizon,
         stop_when=monitor.observe, trace="light",
     )
     assert execution.steps == horizon

@@ -20,25 +20,17 @@ from hypothesis import strategies as st
 from repro.core import (
     ArrayKernel,
     ArrayStateView,
-    CentralDaemon,
     Configuration,
-    DistributedDaemon,
     GraphIndex,
     IntCodec,
     IntTupleCodec,
     Protocol,
     Rule,
     Simulator,
-    StarvationDaemon,
     SynchronousDaemon,
     TiledGraphIndex,
     VectorEngine,
-    protocol_supports_vector,
-)
-from repro.core.engine import (
-    _DENSE_MIN_N,
-    IncrementalEngine,
-    prefers_array_backend,
+    array_engine,
 )
 from repro.exceptions import SimulationError
 from repro.baselines import BfsSpanningTree, MaximalMatching
@@ -322,7 +314,7 @@ def test_dijkstra_kernel_guards_match_python(state_seed):
 def test_baseline_kernel_guards_match_python(factory, graph_seed, state_seed):
     graph = random_connected_graph(8, 0.35, random.Random(graph_seed))
     protocol = factory(graph)
-    assert protocol_supports_vector(protocol)
+    assert array_engine(protocol) is not None
     kernel = protocol.array_kernel()
     codec = protocol.array_codec()
     index = GraphIndex(graph)
@@ -488,7 +480,7 @@ class TestTupleStateProtocol:
     def test_vector_supported_and_equivalent(self):
         graph = random_connected_graph(7, 0.4, random.Random(6))
         protocol = TwoCounterProtocol(graph)
-        assert protocol_supports_vector(protocol)
+        assert array_engine(protocol) is not None
         initial = protocol.random_configuration(random.Random(9))
         runs = {}
         for engine in ("reference", "vector"):
@@ -548,16 +540,6 @@ class TestBackendSelection:
         simulator.run(clean, max_steps=5)
         assert simulator.last_run_backend == "vector"
 
-    def test_overridden_choose_rule_disables_vector(self):
-        class PickyUnison(AsynchronousUnison):
-            def choose_rule(self, enabled_rules, view):
-                return enabled_rules[-1]
-
-        protocol = PickyUnison(ring_graph(5), validate_parameters=False)
-        assert not protocol_supports_vector(protocol)
-        simulator = Simulator(protocol, SynchronousDaemon(), engine="vector")
-        assert simulator.engine == "incremental"
-
     def test_rule_name_mismatch_rejected(self):
         class LyingKernelProtocol(TwoCounterProtocol):
             def array_kernel(self):
@@ -568,73 +550,3 @@ class TestBackendSelection:
         protocol = LyingKernelProtocol(ring_graph(4))
         with pytest.raises(SimulationError):
             VectorEngine(protocol)
-
-    def test_auto_selection_is_daemon_density_aware(self):
-        protocol = AsynchronousUnison(ring_graph(32), validate_parameters=False)
-        # Synchronous daemons take the vector backend under auto.
-        assert Simulator(protocol, SynchronousDaemon()).engine == "vector"
-        assert Simulator(protocol, CentralDaemon()).engine == "incremental"
-        # Below the dense-daemon size floor they keep the dict paths.
-        small = AsynchronousUnison(ring_graph(8), validate_parameters=False)
-        simulator = Simulator(small, SynchronousDaemon())
-        assert simulator.engine == "incremental"
-        simulator.run(small.random_configuration(random.Random(1)), max_steps=5)
-        assert simulator.last_run_backend == "dict"
-        # Protocols without the capability resolve to incremental even for
-        # dense daemons.  (Every shipped protocol now declares the
-        # capability, so strip it off a subclass.)
-        class NoKernelMatching(MaximalMatching):
-            def array_codec(self):
-                return None
-
-            def array_kernel(self):
-                return None
-
-        matching = NoKernelMatching(ring_graph(32))
-        assert Simulator(matching, SynchronousDaemon()).engine == "incremental"
-        # The baselines themselves now take the vector backend under auto.
-        assert (
-            Simulator(MaximalMatching(ring_graph(32)), SynchronousDaemon()).engine
-            == "vector"
-        )
-
-    def test_synchronous_daemon_prefers_arrays_from_size_floor(self):
-        assert not prefers_array_backend(SynchronousDaemon(), _DENSE_MIN_N - 1)
-        assert prefers_array_backend(SynchronousDaemon(), _DENSE_MIN_N)
-
-    @pytest.mark.parametrize(
-        "daemon",
-        [
-            DistributedDaemon(0.4),
-            DistributedDaemon(0.9),
-            StarvationDaemon(),
-            CentralDaemon(),
-        ],
-        ids=["dd0.4", "dd0.9", "ud-starve", "cd"],
-    )
-    def test_non_synchronous_daemons_never_prefer_arrays(self, daemon):
-        for n in (_DENSE_MIN_N - 1, _DENSE_MIN_N, 512, 10**6):
-            assert not prefers_array_backend(daemon, n)
-        protocol = AsynchronousUnison(ring_graph(512), validate_parameters=False)
-        for engine in ("auto", "vector"):
-            assert Simulator(protocol, daemon, engine=engine).engine == "incremental"
-
-    @pytest.mark.parametrize(
-        "n, expected", [(_DENSE_MIN_N - 1, "dict"), (_DENSE_MIN_N, "vector")]
-    )
-    def test_engine_auto_backend_flips_at_size_floor(self, n, expected):
-        protocol = AsynchronousUnison(ring_graph(n), validate_parameters=False)
-        initial = protocol.random_configuration(random.Random(2))
-        engine = IncrementalEngine(protocol)
-        for daemon, backend in (
-            (SynchronousDaemon(), expected),
-            (DistributedDaemon(0.5), "dict"),
-        ):
-            engine.run(
-                daemon=daemon,
-                rng=random.Random(3),
-                initial=initial,
-                max_steps=10,
-                backend="auto",
-            )
-            assert engine.last_run_backend == backend
